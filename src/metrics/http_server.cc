@@ -238,7 +238,10 @@ MetricsHttpServer::acceptLoop()
         // Read up to the end of the request line; the rest of the
         // request (headers) is irrelevant to routing.
         char buf[2048];
-        ssize_t n = ::recv(conn, buf, sizeof(buf) - 1, 0);
+        ssize_t n;
+        do {
+            n = ::recv(conn, buf, sizeof(buf) - 1, 0);
+        } while (n < 0 && errno == EINTR);
         if (n > 0) {
             buf[n] = '\0';
             std::string line(buf);

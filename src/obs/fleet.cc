@@ -1,6 +1,8 @@
 #include "obs/fleet.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <unordered_map>
@@ -234,15 +236,41 @@ RouteStreamWriter::emit(const Json &j)
 {
     if (failed_)
         return false;
-    std::string line = j.dump();
-    line += '\n';
-    bytes_ += line.size();
-    if (!sink_ || !sink_(line)) {
+    line_ = j.dump();
+    line_ += '\n';
+    return send();
+}
+
+bool
+RouteStreamWriter::send()
+{
+    bytes_ += line_.size();
+    if (!sink_ || !sink_(line_)) {
         failed_ = true;
         return false;
     }
     return true;
 }
+
+namespace {
+
+/// Append @p v in decimal, the digits Json::dump prints for an Int.
+char *
+putInt(char *p, int64_t v)
+{
+    return std::to_chars(p, p + 20, v).ptr;
+}
+
+/// Append the string literal @p s (without its terminating NUL).
+template <size_t N>
+char *
+putLit(char *p, const char (&s)[N])
+{
+    std::memcpy(p, s, N - 1);
+    return p + N - 1;
+}
+
+} // namespace
 
 bool
 RouteStreamWriter::decision(uint64_t seq, uint32_t model, uint32_t cls,
@@ -254,12 +282,23 @@ RouteStreamWriter::decision(uint64_t seq, uint32_t model, uint32_t cls,
     } else {
         ++routed_;
     }
-    Json r = Json::object();
-    r.set("seq", seq);
-    r.set("model", model);
-    r.set("class", cls);
-    r.set("engine", engine);
-    return emit(r);
+    if (failed_)
+        return false;
+    // The row Json::dump prints for {"seq","model","class","engine"},
+    // formatted without a DOM: this runs once per routed request. seq
+    // is printed signed, as Json(uint64_t) stores it.
+    char buf[96];
+    char *p = putLit(buf, "{\"seq\":");
+    p = putInt(p, static_cast<int64_t>(seq));
+    p = putLit(p, ",\"model\":");
+    p = putInt(p, model);
+    p = putLit(p, ",\"class\":");
+    p = putInt(p, cls);
+    p = putLit(p, ",\"engine\":");
+    p = putInt(p, engine);
+    p = putLit(p, "}\n");
+    line_.assign(buf, p);
+    return send();
 }
 
 bool

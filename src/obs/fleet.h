@@ -136,8 +136,10 @@ using StreamSink = std::function<bool(const std::string &chunk)>;
  *   {"summary":true,"rows":R,"routed":...,"shed":...,
  *    "shed_by_class":[...]}                                    trailer
  *
- * The writer holds O(1) state (counters only) no matter how many
- * decisions flow through it — this is the export that replaces the
+ * The writer holds O(1) state (counters and one reused line buffer) no
+ * matter how many decisions flow through it. Rows are formatted straight
+ * into that buffer with no Json DOM, byte-identical to what Json::dump
+ * prints for the same object — this is the export that replaces the
  * materialized Router decision log for multi-million-request replays.
  * Attach it to Cluster::setDecisionSink().
  */
@@ -163,9 +165,13 @@ class RouteStreamWriter
     bool failed() const { return failed_; }
 
   private:
+    /** Header and trailer: dump @p j into line_ and send it. */
     bool emit(const Json &j);
+    /** Hand line_ to the sink, counting its bytes. */
+    bool send();
 
     StreamSink sink_;
+    std::string line_; //!< reused for every line, so rows never allocate
     unsigned engines_ = 0;
     uint64_t routed_ = 0;
     uint64_t shed_ = 0;

@@ -12,16 +12,6 @@ namespace obs {
 
 namespace {
 
-/** Stable per-thread shard index (modulo taken at use). */
-size_t
-threadSlot()
-{
-    static std::atomic<size_t> next{0};
-    thread_local const size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
 constexpr const char *kSchema = "bw.flight/1";
 
 } // namespace
@@ -81,37 +71,23 @@ FlightRecorderOptions::fromEnv()
 
 // --- FlightRecorder ---
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions opts) : opts_(opts)
+FlightRecorder::FlightRecorder(FlightRecorderOptions opts)
+    : opts_(opts), ring_(opts.shardCapacity)
 {
     opts_.shardCapacity = std::max<size_t>(1, opts_.shardCapacity);
     opts_.windowUs = std::max<uint64_t>(1, opts_.windowUs);
-    for (Shard &s : shards_)
-        s.ring.resize(opts_.shardCapacity);
 }
 
 void
 FlightRecorder::record(const FlightRecord &r)
 {
-    Shard &sh = shards_[threadSlot() % kShards];
-    uint64_t n = sh.count.fetch_add(1, std::memory_order_relaxed);
-    sh.ring[n % sh.ring.size()] = r;
-    // Publish: collect() loads with acquire after quiescence, so the
-    // record write above is visible once the count is.
-    std::atomic_thread_fence(std::memory_order_release);
+    ring_.record(r);
 }
 
 std::vector<FlightRecord>
 FlightRecorder::collect() const
 {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    std::vector<FlightRecord> out;
-    for (const Shard &sh : shards_) {
-        uint64_t n = sh.count.load(std::memory_order_acquire);
-        size_t kept = static_cast<size_t>(
-            std::min<uint64_t>(n, sh.ring.size()));
-        for (size_t i = 0; i < kept; ++i)
-            out.push_back(sh.ring[i]);
-    }
+    std::vector<FlightRecord> out = ring_.collect();
     std::sort(out.begin(), out.end(),
               [](const FlightRecord &a, const FlightRecord &b) {
                   return a.seq < b.seq;
@@ -128,29 +104,19 @@ FlightRecorder::promoted() const
 uint64_t
 FlightRecorder::recorded() const
 {
-    uint64_t n = 0;
-    for (const Shard &sh : shards_)
-        n += sh.count.load(std::memory_order_relaxed);
-    return n;
+    return ring_.recorded();
 }
 
 uint64_t
 FlightRecorder::dropped() const
 {
-    uint64_t d = 0;
-    for (const Shard &sh : shards_) {
-        uint64_t n = sh.count.load(std::memory_order_relaxed);
-        if (n > sh.ring.size())
-            d += n - sh.ring.size();
-    }
-    return d;
+    return ring_.dropped();
 }
 
 void
 FlightRecorder::clear()
 {
-    for (Shard &sh : shards_)
-        sh.count.store(0, std::memory_order_relaxed);
+    ring_.clear();
 }
 
 // --- Tail promotion ---

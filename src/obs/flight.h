@@ -32,8 +32,6 @@
 #ifndef BW_OBS_FLIGHT_H
 #define BW_OBS_FLIGHT_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -41,6 +39,7 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "obs/ring.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -64,10 +63,10 @@ const char *flightClassName(FlightClass c);
 SpanOutcome flightClassOutcome(FlightClass c);
 
 /**
- * One request's flight record: POD-sized so the hot path writes it into
- * a preallocated ring slot without allocating. Timestamps are
- * microseconds on the owning engine's clock (virtual time under
- * replay(), wall time under the threaded engine).
+ * One request's flight record: POD-sized so the hot path copies it into
+ * a ring slot without allocating. Timestamps are microseconds on the
+ * owning engine's clock (virtual time under replay(), wall time under
+ * the threaded engine).
  */
 struct FlightRecord
 {
@@ -118,10 +117,12 @@ struct FlightRecorderOptions
 
 /**
  * Wait-free flight recorder. record() claims a slot in the calling
- * thread's ring shard with one relaxed fetch_add and writes the POD
- * record in place — no locks, no allocation. collect()/promoted() merge
- * the shards; call them only after producers have quiesced (engine
- * drained or shut down), the same read discipline as SpanTracer.
+ * thread's ring shard (obs/ring.h) with one relaxed fetch_add and writes
+ * the POD record in place — no locks. A shard's ring is allocated on the
+ * first record into it; after that, recording never allocates.
+ * collect()/promoted() merge the shards; call them only after producers
+ * have quiesced (engine drained or shut down), the same read discipline
+ * as SpanTracer.
  */
 class FlightRecorder
 {
@@ -130,7 +131,8 @@ class FlightRecorder
 
     const FlightRecorderOptions &options() const { return opts_; }
 
-    /** Record one request's flight record (wait-free). */
+    /** Record one request's flight record (wait-free once the shard is
+     *  sized). */
     void record(const FlightRecord &r);
 
     /** Merged records, sorted by seq. Safe after quiescence. */
@@ -149,16 +151,8 @@ class FlightRecorder
     void clear();
 
   private:
-    static constexpr size_t kShards = 16;
-
-    struct alignas(64) Shard
-    {
-        std::vector<FlightRecord> ring;
-        std::atomic<uint64_t> count{0};
-    };
-
     FlightRecorderOptions opts_;
-    std::array<Shard, kShards> shards_;
+    ShardedRing<FlightRecord> ring_;
 };
 
 /**

@@ -40,14 +40,13 @@
 #ifndef BW_OBS_SPAN_H
 #define BW_OBS_SPAN_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "obs/ring.h"
 #include "obs/trace.h"
 
 namespace bw {
@@ -96,8 +95,8 @@ struct TraceContext
 };
 
 /**
- * One recorded span. Flat and POD-sized so the hot path can write it
- * into a preallocated ring slot without allocating; trees are
+ * One recorded span. Flat and POD-sized so the hot path can copy it
+ * into a ring slot without allocating; trees are
  * reassembled from (trace, parent) at export.
  */
 struct SpanRecord
@@ -154,9 +153,10 @@ struct SpanTracerOptions
 
 /**
  * Wait-free span recorder. record() claims a slot in the calling
- * thread's ring shard with one relaxed fetch_add and writes the POD
- * record in place — no locks, no allocation, engine workers never
- * contend. collect() merges the shards; call it only after producers
+ * thread's ring shard (obs/ring.h) with one relaxed fetch_add and writes
+ * the POD record in place — no locks, engine workers never contend. A
+ * shard's ring is allocated on the first record into it; after that,
+ * recording never allocates. collect() merges the shards; call it only after producers
  * have quiesced (the same read discipline as Engine::trace()).
  */
 class SpanTracer
@@ -173,7 +173,8 @@ class SpanTracer
      */
     TraceContext admit(uint64_t seq) const;
 
-    /** Record one span (wait-free; see class comment). */
+    /** Record one span (wait-free once the shard is sized; see class
+     *  comment). */
     void record(const SpanRecord &s);
 
     /** Merged spans, sorted by (trace, id). Safe after quiescence. */
@@ -189,16 +190,8 @@ class SpanTracer
     void clear();
 
   private:
-    static constexpr size_t kShards = 16;
-
-    struct alignas(64) Shard
-    {
-        std::vector<SpanRecord> ring;
-        std::atomic<uint64_t> count{0};
-    };
-
     SpanTracerOptions opts_;
-    std::array<Shard, kShards> shards_;
+    ShardedRing<SpanRecord> ring_;
 };
 
 /**

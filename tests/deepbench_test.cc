@@ -7,6 +7,8 @@
  * steady-state per-step latency is what Table V's totals derive from).
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "compiler/lowering.h"
@@ -42,9 +44,16 @@ perStepCycles(const RnnLayerSpec &layer)
 struct Target
 {
     RnnKind kind;
+    // A parameter with no operator<< prints as its raw bytes, and that
+    // print is the name gtest_discover_tests gives the case in ctest.
+    // Bytes 1-3 are named here so no padding is left undefined: each
+    // case then has one name in every build and every run. The values
+    // are the ones the cases were first registered under.
+    uint8_t pad[3];
     unsigned hidden;
     double paperCyclesPerStep;
 };
+static_assert(sizeof(Target) == 16, "Target must have no implicit padding");
 
 class TableFivePerStep : public ::testing::TestWithParam<Target>
 {
@@ -63,18 +72,18 @@ TEST_P(TableFivePerStep, WithinTenPercentOfPaper)
 // (and Table I's BW column for LSTM-2000 / GRU-2800).
 INSTANTIATE_TEST_SUITE_P(
     Calibration, TableFivePerStep,
-    ::testing::Values(Target{RnnKind::Lstm, 2000, 718},
-                      Target{RnnKind::Gru, 2800, 662},
-                      Target{RnnKind::Gru, 2816, 662},
-                      Target{RnnKind::Gru, 2560, 662},
-                      Target{RnnKind::Gru, 2048, 636},
-                      Target{RnnKind::Gru, 1536, 634},
-                      Target{RnnKind::Gru, 1024, 632},
-                      Target{RnnKind::Lstm, 2048, 740},
-                      Target{RnnKind::Lstm, 1536, 725},
-                      Target{RnnKind::Lstm, 1024, 740},
-                      Target{RnnKind::Lstm, 512, 770},
-                      Target{RnnKind::Lstm, 256, 708}));
+    ::testing::Values(Target{RnnKind::Lstm, {0x73, 0x00, 0x65}, 2000, 718},
+                      Target{RnnKind::Gru, {0x00, 0x00, 0x00}, 2800, 662},
+                      Target{RnnKind::Gru, {0x00, 0x00, 0x00}, 2816, 662},
+                      Target{RnnKind::Gru, {0x00, 0x01, 0x1B}, 2560, 662},
+                      Target{RnnKind::Gru, {0xFF, 0x48, 0x00}, 2048, 636},
+                      Target{RnnKind::Gru, {0x00, 0x00, 0x00}, 1536, 634},
+                      Target{RnnKind::Gru, {0x00, 0x00, 0x00}, 1024, 632},
+                      Target{RnnKind::Lstm, {0x00, 0x01, 0x1B}, 2048, 740},
+                      Target{RnnKind::Lstm, {0xDA, 0x48, 0x00}, 1536, 725},
+                      Target{RnnKind::Lstm, {0x00, 0x00, 0x00}, 1024, 740},
+                      Target{RnnKind::Lstm, {0x00, 0x00, 0x00}, 512, 770},
+                      Target{RnnKind::Lstm, {0x00, 0x00, 0x00}, 256, 708}));
 
 TEST(TableFive, UtilizationOrderingMatchesPaper)
 {

@@ -224,6 +224,75 @@ TEST(RouteStream, AbortingSinkStopsWriter)
     EXPECT_EQ(lines, 3);
 }
 
+TEST(RouteStream, RowsMatchCanonicalDecisionJson)
+{
+    // The stream formats its rows without a DOM; Router::decisionsJson
+    // is the canonical rendering. Every row the bounded log kept must
+    // match it byte for byte, sheds included.
+    ClusterOptions co = fleetClusterOptions();
+    co.router.policy = RoutePolicy::SloAware;
+    co.router.logCapacity = 400;
+    Cluster c(co);
+    addFleetModels(c);
+
+    std::string ndjson;
+    obs::RouteStreamWriter writer(
+        appendTo(ndjson), routePolicyName(c.router().options().policy),
+        c.engineCount(), c.sloClassCount());
+    c.setDecisionSink([&writer](const RouteDecision &d) {
+        writer.decision(d.seq, d.model, d.cls, d.engine);
+    });
+    ClusterStats st = c.replay(generateTraffic(fleetTraffic(6000, 0.2)));
+    writer.finish();
+    ASSERT_GT(st.submitted, co.router.logCapacity);
+
+    Json route = c.routeJson();
+    const Json *decisions = route.find("decisions");
+    ASSERT_NE(decisions, nullptr);
+    ASSERT_EQ(decisions->size(), co.router.logCapacity);
+    size_t pos = ndjson.find('\n') + 1; // past the header
+    size_t sheds = 0;
+    for (size_t i = 0; i < decisions->size(); ++i) {
+        std::string want = decisions->at(i).dump() + "\n";
+        ASSERT_EQ(ndjson.substr(pos, want.size()), want) << "row " << i;
+        pos += want.size();
+        sheds += decisions->at(i).find("engine")->asInt() < 0;
+    }
+    EXPECT_GT(sheds, 0u);
+}
+
+TEST(RouteStream, RowBytesMatchJsonDumpOnEdgeValues)
+{
+    struct Row
+    {
+        uint64_t seq;
+        uint32_t model, cls;
+        int32_t engine;
+    };
+    const Row rows[] = {
+        {1, 0, 0, 0},
+        {1, UINT32_MAX, UINT32_MAX, -1},
+        {uint64_t(INT64_MAX), UINT32_MAX, 0, -2},
+        {uint64_t(INT64_MAX), 0, UINT32_MAX, INT32_MAX},
+        {UINT64_MAX, 7, 2, 3}, // Json(uint64_t) stores it signed: -1
+    };
+    std::string out;
+    obs::RouteStreamWriter w(appendTo(out), "slo_aware", 4, 3);
+    std::string expect = out; // the header
+    for (const Row &r : rows) {
+        EXPECT_TRUE(w.decision(r.seq, r.model, r.cls, r.engine));
+        Json j = Json::object();
+        j.set("seq", r.seq);
+        j.set("model", r.model);
+        j.set("class", r.cls);
+        j.set("engine", r.engine);
+        expect += j.dump() + "\n";
+    }
+    EXPECT_EQ(out, expect);
+    EXPECT_EQ(w.bytes(), out.size());
+    EXPECT_NE(out.find("{\"seq\":-1,"), std::string::npos);
+}
+
 TEST(SpanStream, RoundTripsAndRejectsTruncation)
 {
     obs::SpanTracerOptions so;

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -141,6 +143,43 @@ TEST(FlightRecorder, CollectsSortedAndCountsOverwrites)
     EXPECT_EQ(fr.recorded(), 0u);
     EXPECT_EQ(fr.dropped(), 0u);
     EXPECT_TRUE(fr.collect().empty());
+}
+
+TEST(FlightRecorder, ConcurrentFirstUseOfFreshRecorder)
+{
+    // More threads than ring shards, all starting at once on a fresh
+    // recorder: shards are sized on first record, and threads sharing a
+    // shard race on that first sizing. Capacity covers two threads per
+    // shard, so nothing is overwritten and every offered record survives.
+    const uint64_t kThreads = 24, kPerThread = 200;
+    obs::FlightRecorderOptions opts;
+    opts.shardCapacity = 2 * kPerThread + 8;
+    obs::FlightRecorder fr(opts);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&fr, &go, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (uint64_t i = 1; i <= kPerThread; ++i) {
+                uint64_t seq = t * kPerThread + i;
+                fr.record(rec(seq, obs::FlightClass::Ok, seq * 10, 1));
+            }
+        });
+    }
+    go.store(true);
+    for (std::thread &th : threads)
+        th.join();
+
+    std::vector<obs::FlightRecord> got = fr.collect();
+    EXPECT_EQ(fr.recorded(), kThreads * kPerThread);
+    EXPECT_EQ(got.size() + fr.dropped(), fr.recorded());
+    ASSERT_EQ(got.size(), kThreads * kPerThread);
+    // Sorted by seq, so each offered record appears exactly once.
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].seq, i + 1);
+        EXPECT_EQ(got[i].admitUs, (i + 1) * 10);
+    }
 }
 
 TEST(FlightRecorder, OptionsFromEnvOverrides)

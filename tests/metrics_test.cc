@@ -595,6 +595,7 @@ TEST(HttpServer, StreamHandlersRouteWithoutSockets)
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -635,6 +636,11 @@ TEST(HttpServer, ServesMetricsOverARealSocket)
 
 namespace {
 
+/**
+ * Connect to the loopback port. EINTR from connect() means the
+ * connection is still in progress, not failed: wait for POLLOUT and
+ * read SO_ERROR instead of calling connect() again.
+ */
 int
 connectTo(uint16_t port)
 {
@@ -646,11 +652,39 @@ connectTo(uint16_t port)
     addr.sin_port = htons(port);
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
+                  sizeof(addr)) == 0)
+        return fd;
+    if (errno == EINTR) {
+        pollfd pfd{fd, POLLOUT, 0};
+        int rc;
+        do {
+            rc = ::poll(&pfd, 1, 5000 /* ms */);
+        } while (rc < 0 && errno == EINTR);
+        int err = 0;
+        socklen_t len = sizeof(err);
+        if (rc == 1 &&
+            ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) == 0 &&
+            err == 0)
+            return fd;
     }
-    return fd;
+    ::close(fd);
+    return -1;
+}
+
+/** send() the whole request, retrying EINTR and short writes. */
+bool
+sendRequest(int fd, const std::string &req)
+{
+    size_t off = 0;
+    while (off < req.size()) {
+        ssize_t w = ::send(fd, req.data() + off, req.size() - off, 0);
+        if (w < 0 && errno == EINTR)
+            continue;
+        if (w <= 0)
+            return false;
+        off += static_cast<size_t>(w);
+    }
+    return true;
 }
 
 void
@@ -681,24 +715,45 @@ TEST(HttpServer, StreamsNdjsonOverSocketDespiteEintr)
     // restarting transparently. The server's write loop must absorb
     // those (and short writes — the body far exceeds a socket buffer)
     // without corrupting or truncating the stream.
-    struct sigaction sa {
-    }, old {};
+    // The pinger signals the process every 200 us until stop(), which
+    // runs on every exit path (a failed ASSERT included, which would
+    // otherwise destroy a joinable std::thread) and joins before the
+    // handler goes back to SIGUSR1's default action, terminate.
+    struct Pinger
+    {
+        struct sigaction old {};
+        std::atomic<bool> done{false};
+        std::thread thread;
+
+        void
+        stop()
+        {
+            if (!thread.joinable())
+                return;
+            done.store(true);
+            thread.join();
+            sigaction(SIGUSR1, &old, nullptr);
+        }
+        ~Pinger() { stop(); }
+    } pinger;
+    struct sigaction sa {};
     sa.sa_handler = sigusr1Noop;
     sigemptyset(&sa.sa_mask);
     sa.sa_flags = 0;
-    ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
-    std::atomic<bool> done{false};
-    std::thread pinger([&done] {
+    ASSERT_EQ(sigaction(SIGUSR1, &sa, &pinger.old), 0);
+    pinger.thread = std::thread([&done = pinger.done] {
         while (!done.load()) {
             ::kill(::getpid(), SIGUSR1);
             std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
     });
 
+    // The client rides out EINTR too (connect, send and recv all get
+    // interrupted), so any failure below is the server's.
     int fd = connectTo(srv.port());
     ASSERT_GE(fd, 0);
-    const char req[] = "GET /stream/big HTTP/1.1\r\nHost: x\r\n\r\n";
-    ASSERT_GT(::send(fd, req, sizeof(req) - 1, 0), 0);
+    ASSERT_TRUE(
+        sendRequest(fd, "GET /stream/big HTTP/1.1\r\nHost: x\r\n\r\n"));
     std::string resp;
     char buf[8192];
     for (;;) {
@@ -710,9 +765,7 @@ TEST(HttpServer, StreamsNdjsonOverSocketDespiteEintr)
         resp.append(buf, static_cast<size_t>(n));
     }
     ::close(fd);
-    done.store(true);
-    pinger.join();
-    sigaction(SIGUSR1, &old, nullptr);
+    pinger.stop();
     srv.stop();
 
     ASSERT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos);

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -462,6 +465,45 @@ TEST(SpanTracer, RingOverwriteCountsDropped)
     EXPECT_EQ(tracer.recorded(), 10u);
     EXPECT_EQ(tracer.dropped(), 6u);
     EXPECT_EQ(tracer.collect().size(), 4u);
+}
+
+TEST(SpanTracer, ConcurrentFirstUseOfFreshTracer)
+{
+    // More threads than ring shards, all starting at once on a fresh
+    // tracer: shards are sized on first record, and threads sharing a
+    // shard race on that first sizing. Capacity covers two threads per
+    // shard, so nothing is overwritten and every offered span survives.
+    const uint32_t kThreads = 24, kPerThread = 200;
+    obs::SpanTracerOptions opts;
+    opts.shardCapacity = 2 * kPerThread + 8;
+    obs::SpanTracer tracer(opts);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (uint32_t t = 1; t <= kThreads; ++t) {
+        threads.emplace_back([&tracer, &go, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            obs::SpanRecord s;
+            s.trace = t;
+            for (uint32_t i = 1; i <= kPerThread; ++i) {
+                s.id = i;
+                tracer.record(s);
+            }
+        });
+    }
+    go.store(true);
+    for (std::thread &th : threads)
+        th.join();
+
+    std::vector<obs::SpanRecord> spans = tracer.collect();
+    EXPECT_EQ(tracer.recorded(), uint64_t(kThreads) * kPerThread);
+    EXPECT_EQ(spans.size() + tracer.dropped(), tracer.recorded());
+    ASSERT_EQ(spans.size(), size_t(kThreads) * kPerThread);
+    // Sorted by (trace, id), so each offered span appears exactly once.
+    for (size_t i = 0; i < spans.size(); ++i) {
+        EXPECT_EQ(spans[i].trace, i / kPerThread + 1);
+        EXPECT_EQ(spans[i].id, i % kPerThread + 1);
+    }
 }
 
 TEST(SpanRequestTree, OkTreePartitionsRequestExactly)
