@@ -26,9 +26,9 @@ NpuConfig::validate() const
     }
     if (clockMhz <= 0.0)
         BW_FATAL("%s: clock must be positive", name.c_str());
-    if (precision.mantBits < 1)
-        BW_FATAL("%s: matrix precision needs at least 1 mantissa bit",
-                 name.c_str());
+    if (precision.mantBits < 1 || precision.mantBits > kMaxMantBits)
+        BW_FATAL("%s: matrix precision needs 1 to %d mantissa bits (%d "
+                 "given)", name.c_str(), kMaxMantBits, precision.mantBits);
 }
 
 NpuConfig

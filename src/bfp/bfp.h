@@ -12,6 +12,10 @@
  * signed integer mantissa q with |q| <= 2^m - 1 for m mantissa bits, and
  * the represented value is q * 2^(E - (m - 1)). This is the natural
  * fixed-point-per-block reading of the paper's "1s.5e.2m" notation.
+ *
+ * Mantissas are stored as int16_t, so m is capped at kMaxMantBits. One
+ * quantizer (bfpQuantize) and one integer dot kernel (bfpMantDot) serve
+ * both BfpBlock and the functional simulator's packed MRF tiles.
  */
 
 #ifndef BW_BFP_BFP_H
@@ -23,6 +27,9 @@
 #include <vector>
 
 namespace bw {
+
+/** Widest mantissa an int16_t element holds: |q| <= 2^15 - 1. */
+inline constexpr int kMaxMantBits = 15;
 
 /**
  * A BFP format descriptor, e.g. "1s.5e.2m": 1 sign bit, a 5-bit shared
@@ -55,6 +62,30 @@ struct BfpFormat
     bool operator==(const BfpFormat &o) const = default;
 };
 
+/** Scale factor 2^(E - (m-1)) applied to mantissas with exponent @p exp. */
+double bfpScale(int exp, const BfpFormat &fmt);
+
+/**
+ * Quantize @p values into @p mant (values.size() elements) with one
+ * shared exponent, which is returned. Throws bw::Error unless
+ * fmt.mantBits is in [1, kMaxMantBits]. The exponent is that of the
+ * largest magnitude, bumped when that element would round past
+ * maxMant() and clamped to [minExp, maxExp]; each mantissa is
+ * round-to-nearest-even of v * 2^((m-1) - E), clamped to +-maxMant().
+ */
+int bfpQuantize(std::span<const float> values, const BfpFormat &fmt,
+                int16_t *mant);
+
+/**
+ * Exact integer dot product of @p n mantissa pairs, as the hardware's
+ * MAC array computes it. @p max_product bounds |a[i] * b[i]| (the
+ * product of the two operands' maxMant()); it sets how many products a
+ * 32-bit lane accumulator takes before it is flushed into the 64-bit
+ * total, so no lane can overflow.
+ */
+int64_t bfpMantDot(const int16_t *a, const int16_t *b, size_t n,
+                   int64_t max_product);
+
 /** Widely used format presets. */
 BfpFormat bfp152(); //!< 1s.5e.2m, the BW_S10 RNN format (Table IV)
 BfpFormat bfp155(); //!< 1s.5e.5m, the BW_CNN_A10 format (Table VI)
@@ -83,19 +114,19 @@ class BfpBlock
     const BfpFormat &format() const { return fmt_; }
 
     /** Scale factor 2^(E - (m-1)) applied to mantissas. */
-    double scale() const;
+    double scale() const { return bfpScale(exp_, fmt_); }
 
     /**
      * Exact fixed-point dot product of two blocks, as the hardware's MAC
      * array computes it: integer multiply-accumulate, one final scale.
-     * Blocks must have equal length.
+     * Blocks must have equal length; their formats may differ.
      */
     static double dot(const BfpBlock &a, const BfpBlock &b);
 
   private:
     BfpFormat fmt_;
     int exp_ = 0;             //!< shared exponent E (unbiased)
-    std::vector<int32_t> mant_; //!< signed mantissas, |q| <= maxMant()
+    std::vector<int16_t> mant_; //!< signed mantissas, |q| <= maxMant()
 };
 
 /** Round-trip a float vector through BFP quantization. */

@@ -161,25 +161,37 @@ FuncMachine::execMvMul(const Instruction &inst, const FVec &input,
               cols * n);
 
     // Quantize the input activation per native-vector block, as the
-    // hardware does at the MVM boundary.
-    std::vector<BfpBlock> in_blocks;
-    in_blocks.reserve(cols);
+    // hardware does at the MVM boundary, into one flat mantissa buffer.
+    const BfpFormat &fmt = cfg_.precision;
+    std::vector<int16_t> in_mant(static_cast<size_t>(cols) * n);
+    std::vector<double> in_scale(cols);
     for (uint32_t c = 0; c < cols; ++c) {
-        std::span<const float> blk(input.data() + static_cast<size_t>(c) * n,
-                                   n);
-        in_blocks.emplace_back(blk, cfg_.precision);
+        size_t off = static_cast<size_t>(c) * n;
+        in_scale[c] = bfpScale(
+            bfpQuantize({input.data() + off, n}, fmt, &in_mant[off]), fmt);
     }
 
     // Tiled matrix: entry (r, c) lives at MRF[addr + r*cols + c].
-    // Accumulation across column tiles happens in float32 in the
-    // add-reduction unit; the result rounds to float16 entering the MFUs.
+    // Each dot is an exact integer sum scaled once, as BfpBlock::dot
+    // computes it. Accumulation across column tiles happens in float32
+    // in the add-reduction unit; the result rounds to float16 entering
+    // the MFUs.
     FVec out(static_cast<size_t>(rows) * n, 0.0f);
+    std::vector<const QuantTile *> tiles(cols);
     for (uint32_t r = 0; r < rows; ++r) {
+        for (uint32_t c = 0; c < cols; ++c)
+            tiles[c] = &mrf_.read(inst.addr + r * cols + c);
         for (unsigned row_in_tile = 0; row_in_tile < n; ++row_in_tile) {
             double acc = 0.0;
             for (uint32_t c = 0; c < cols; ++c) {
-                const QuantTile &tile = mrf_.read(inst.addr + r * cols + c);
-                acc += BfpBlock::dot(tile.row(row_in_tile), in_blocks[c]);
+                const QuantTile &tile = *tiles[c];
+                int64_t q = bfpMantDot(
+                    tile.rowMant(row_in_tile),
+                    &in_mant[static_cast<size_t>(c) * n], n,
+                    static_cast<int64_t>(tile.format().maxMant()) *
+                        fmt.maxMant());
+                acc += static_cast<double>(q) * tile.rowScale(row_in_tile) *
+                       in_scale[c];
             }
             out[static_cast<size_t>(r) * n + row_in_tile] =
                 roundToHalf(static_cast<float>(acc));

@@ -48,22 +48,26 @@ VectorRegFile::clear()
 }
 
 QuantTile::QuantTile(const FMat &tile, const BfpFormat &fmt)
+    : fmt_(fmt), dim_(tile.rows()), mant_(tile.rows() * tile.cols()),
+      scale_(tile.rows())
 {
     BW_ASSERT(tile.rows() == tile.cols(),
               "native tiles are square (%zux%zu given)", tile.rows(),
               tile.cols());
-    rows_.reserve(tile.rows());
-    for (size_t r = 0; r < tile.rows(); ++r)
-        rows_.emplace_back(tile.row(r), fmt);
+    for (size_t r = 0; r < dim_; ++r)
+        scale_[r] = bfpScale(bfpQuantize(tile.row(r), fmt_, &mant_[r * dim_]),
+                             fmt_);
 }
 
 FMat
 QuantTile::dequant() const
 {
-    FMat out(rows_.size(), rows_.size());
-    for (size_t r = 0; r < rows_.size(); ++r) {
-        auto vals = rows_[r].dequantAll();
-        std::copy(vals.begin(), vals.end(), out.row(r).begin());
+    FMat out(dim_, dim_);
+    for (size_t r = 0; r < dim_; ++r) {
+        const int16_t *q = rowMant(r);
+        auto row = out.row(r);
+        for (size_t i = 0; i < dim_; ++i)
+            row[i] = static_cast<float>(q[i] * scale_[r]);
     }
     return out;
 }
@@ -105,29 +109,25 @@ DramStore::DramStore(uint64_t capacity_bytes, unsigned native_dim)
     // Entry-granular model: bound entry counts by capacity assuming
     // 2 bytes/element storage.
     uint64_t vec_bytes = static_cast<uint64_t>(native_dim) * 2;
-    uint64_t max_vecs = std::min<uint64_t>(capacity_bytes / vec_bytes,
-                                           1ull << 22);
+    maxVectors_ = std::min<uint64_t>(capacity_bytes / vec_bytes, 1ull << 22);
     uint64_t tile_bytes = vec_bytes * native_dim;
-    uint64_t max_tiles = std::min<uint64_t>(capacity_bytes / tile_bytes,
-                                            1ull << 16);
-    vectors_.resize(max_vecs);
-    tiles_.resize(max_tiles);
+    maxTiles_ = std::min<uint64_t>(capacity_bytes / tile_bytes, 1ull << 16);
 }
 
 FVec
 DramStore::readVector(uint32_t addr, uint32_t count) const
 {
-    if (static_cast<uint64_t>(addr) + count > vectors_.size())
+    if (static_cast<uint64_t>(addr) + count > maxVectors_)
         BW_FATAL("DRAM: vector read [%u, %u) out of range", addr,
                  addr + count);
     FVec out;
     out.reserve(static_cast<size_t>(count) * nativeDim_);
     for (uint32_t i = 0; i < count; ++i) {
-        const FVec &v = vectors_[addr + i];
-        if (v.empty()) {
+        size_t a = static_cast<size_t>(addr) + i;
+        if (a >= vectors_.size() || vectors_[a].empty()) {
             out.insert(out.end(), nativeDim_, 0.0f);
         } else {
-            out.insert(out.end(), v.begin(), v.end());
+            out.insert(out.end(), vectors_[a].begin(), vectors_[a].end());
         }
     }
     return out;
@@ -138,9 +138,12 @@ DramStore::writeVector(uint32_t addr, std::span<const float> data)
 {
     BW_ASSERT(data.size() % nativeDim_ == 0);
     uint32_t count = static_cast<uint32_t>(data.size() / nativeDim_);
-    if (static_cast<uint64_t>(addr) + count > vectors_.size())
+    uint64_t end = static_cast<uint64_t>(addr) + count;
+    if (end > maxVectors_)
         BW_FATAL("DRAM: vector write [%u, %u) out of range", addr,
                  addr + count);
+    if (end > vectors_.size())
+        vectors_.resize(end);
     for (uint32_t i = 0; i < count; ++i) {
         vectors_[addr + i].assign(data.begin() + i * nativeDim_,
                                   data.begin() + (i + 1) * nativeDim_);
@@ -158,9 +161,11 @@ DramStore::readTile(uint32_t addr) const
 void
 DramStore::writeTile(uint32_t addr, FMat tile)
 {
-    if (addr >= tiles_.size())
+    if (addr >= maxTiles_)
         BW_FATAL("DRAM: tile write of %u out of range", addr);
     BW_ASSERT(tile.rows() == nativeDim_ && tile.cols() == nativeDim_);
+    if (addr >= tiles_.size())
+        tiles_.resize(static_cast<size_t>(addr) + 1);
     tiles_[addr] = std::move(tile);
 }
 

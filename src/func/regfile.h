@@ -55,7 +55,8 @@ class VectorRegFile
 /**
  * A BFP-quantized native matrix tile: nativeDim rows, each an
  * independently quantized BFP block of nativeDim elements (the paper's
- * per-native-vector shared exponent granularity).
+ * per-native-vector shared exponent granularity). The mantissas are
+ * packed row-major in one flat buffer, with one scale per row.
  */
 class QuantTile
 {
@@ -65,15 +66,23 @@ class QuantTile
     /** Quantize a native_dim x native_dim float tile. */
     QuantTile(const FMat &tile, const BfpFormat &fmt);
 
-    bool valid() const { return !rows_.empty(); }
-    size_t dim() const { return rows_.size(); }
-    const BfpBlock &row(size_t r) const { return rows_[r]; }
+    bool valid() const { return dim_ != 0; }
+    size_t dim() const { return dim_; }
+    const BfpFormat &format() const { return fmt_; }
+
+    /** The dim() mantissas of row @p r. */
+    const int16_t *rowMant(size_t r) const { return &mant_[r * dim_]; }
+    /** Scale 2^(E - (m-1)) of row @p r. */
+    double rowScale(size_t r) const { return scale_[r]; }
 
     /** Dequantize back to a float matrix (for inspection/tests). */
     FMat dequant() const;
 
   private:
-    std::vector<BfpBlock> rows_;
+    BfpFormat fmt_;
+    size_t dim_ = 0;
+    std::vector<int16_t> mant_;
+    std::vector<double> scale_;
 };
 
 /**
@@ -104,7 +113,9 @@ class MatrixRegFile
 /**
  * Simplified accelerator-local DRAM: separately indexed native-vector
  * and native-tile regions (entry-granularity addressing; the timing
- * model accounts for byte bandwidth independently).
+ * model accounts for byte bandwidth independently). Both regions are
+ * bounded by capacity but grow only as entries are written; a vector
+ * never written reads as zeros, a tile never written is an error.
  */
 class DramStore
 {
@@ -122,6 +133,8 @@ class DramStore
   private:
     uint64_t capacityBytes_;
     unsigned nativeDim_;
+    uint64_t maxVectors_ = 0;
+    uint64_t maxTiles_ = 0;
     std::vector<FVec> vectors_;
     std::vector<FMat> tiles_;
 };

@@ -79,6 +79,19 @@ TEST(NpuConfig, ValidateRejectsBadShapes)
     EXPECT_THROW(c.validate(), Error);
 }
 
+TEST(NpuConfig, ValidateBoundsMantissaWidthToInt16)
+{
+    // BfpFormat is an aggregate, so a width parse() rejects can still
+    // reach a config; the functional simulator stores int16 mantissas.
+    NpuConfig c = NpuConfig::bwS10();
+    c.precision = BfpFormat{1, 5, 15};
+    EXPECT_NO_THROW(c.validate());
+    c.precision = BfpFormat{1, 5, 16};
+    EXPECT_THROW(c.validate(), Error);
+    c.precision = BfpFormat{1, 5, 0};
+    EXPECT_THROW(c.validate(), Error);
+}
+
 TEST(NpuConfig, MrfIndexSpaceDefault)
 {
     NpuConfig c = NpuConfig::bwS10();

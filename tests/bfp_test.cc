@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "bfp/bfp.h"
 #include "common/rng.h"
@@ -34,6 +35,16 @@ TEST(BfpFormat, ParseRejectsMalformed)
     EXPECT_THROW(BfpFormat::parse("2s.5e.2m"), Error); // sign must be 1
     EXPECT_THROW(BfpFormat::parse("1s.9e.2m"), Error);
     EXPECT_THROW(BfpFormat::parse("1s.5e.0m"), Error);
+}
+
+TEST(BfpFormat, MantissaWidthCappedAtInt16)
+{
+    // Mantissas are stored as int16_t: 15 bits is the widest format.
+    BfpFormat f = BfpFormat::parse("1s.5e.15m");
+    EXPECT_EQ(f.mantBits, kMaxMantBits);
+    EXPECT_EQ(f.maxMant(), INT16_MAX);
+    EXPECT_THROW(BfpFormat::parse("1s.5e.16m"), Error);
+    EXPECT_THROW(BfpFormat::parse("1s.5e.23m"), Error);
 }
 
 TEST(BfpFormat, DerivedFields)
@@ -175,6 +186,170 @@ TEST(BfpBlock, SaturatesAtExponentCeiling)
     EXPECT_GT(b.dequant(0), 0.0f);
     EXPECT_LT(b.dequant(1), 0.0f);
     EXPECT_EQ(b.exponent(), bfp152().maxExp());
+}
+
+/** The quantizer as written with libm rounding, the reference the
+ *  packed bfpQuantize must match bit for bit. */
+int
+referenceQuantize(std::span<const float> values, const BfpFormat &fmt,
+                  std::vector<int32_t> *mant)
+{
+    float max_abs = 0.0f;
+    for (float v : values)
+        max_abs = std::max(max_abs, std::fabs(v));
+    mant->assign(values.size(), 0);
+    if (max_abs == 0.0f)
+        return fmt.minExp();
+    int e = static_cast<int>(std::floor(std::log2(max_abs)));
+    if (std::nearbyint(max_abs * std::ldexp(1.0, fmt.mantBits - 1 - e)) >
+        fmt.maxMant())
+        ++e;
+    e = std::min(std::max(e, fmt.minExp()), fmt.maxExp());
+    double inv_scale = std::ldexp(1.0, fmt.mantBits - 1 - e);
+    double lim = fmt.maxMant();
+    for (size_t i = 0; i < values.size(); ++i) {
+        double q = std::nearbyint(values[i] * inv_scale);
+        q = std::min(std::max(q, -lim), lim);
+        (*mant)[i] = static_cast<int32_t>(q);
+    }
+    return e;
+}
+
+void
+expectMatchesReference(std::span<const float> v, const BfpFormat &fmt)
+{
+    std::vector<int32_t> want;
+    int want_e = referenceQuantize(v, fmt, &want);
+    std::vector<int16_t> got(v.size());
+    ASSERT_EQ(bfpQuantize(v, fmt, got.data()), want_e) << fmt.toString();
+    for (size_t i = 0; i < v.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << fmt.toString() << " i=" << i
+                                   << " v=" << v[i];
+}
+
+TEST(BfpQuantize, RejectsMantissaWidthOutsideInt16)
+{
+    // BfpFormat is an aggregate, so a format can skip parse().
+    FVec v(8, 1.0f);
+    std::vector<int16_t> q(v.size());
+    EXPECT_THROW(bfpQuantize(v, BfpFormat{1, 5, 16}, q.data()), Error);
+    EXPECT_THROW(bfpQuantize(v, BfpFormat{1, 5, 0}, q.data()), Error);
+    EXPECT_THROW(BfpBlock(v, BfpFormat{1, 5, 20}), Error);
+    EXPECT_NO_THROW(bfpQuantize(v, BfpFormat{1, 5, 15}, q.data()));
+}
+
+TEST(BfpQuantize, TiesRoundToEvenLikeNearbyint)
+{
+    for (int m = 1; m <= kMaxMantBits; ++m) {
+        BfpFormat fmt{1, 5, m};
+        // Block max maxMant * 2^-(m-1) pins the shared exponent at 0, so
+        // element (k + 0.5) * 2^-(m-1) scales to the tie k + 0.5.
+        float lsb = std::ldexp(1.0f, -(m - 1));
+        FVec v = {static_cast<float>(fmt.maxMant()) * lsb};
+        for (int k = 0; k < std::min(fmt.maxMant(), 64); ++k) {
+            v.push_back((k + 0.5f) * lsb);
+            v.push_back(-(k + 0.5f) * lsb);
+        }
+        expectMatchesReference(v, fmt);
+        std::vector<int16_t> q(v.size());
+        ASSERT_EQ(bfpQuantize(v, fmt, q.data()), 0);
+        EXPECT_EQ(q[1], 0);  // 0.5 rounds to even 0
+        EXPECT_EQ(q[2], 0);  // -0.5 too
+        if (fmt.maxMant() > 2) {
+            EXPECT_EQ(q[3], 2);  // 1.5 -> 2
+            EXPECT_EQ(q[4], -2); // -1.5 -> -2
+        }
+    }
+}
+
+TEST(BfpQuantize, MatchesNearbyintOnRandomZeroAndClampedBlocks)
+{
+    Rng rng(11);
+    for (int m = 1; m <= kMaxMantBits; ++m) {
+        BfpFormat fmt{1, 5, m};
+        for (int trial = 0; trial < 20; ++trial) {
+            FVec v(1 + trial * 7);
+            fillUniform(v, rng, -3.0f, 3.0f);
+            expectMatchesReference(v, fmt);
+        }
+        // Zero block: all-zero mantissas at the minimum exponent.
+        expectMatchesReference(FVec(16, 0.0f), fmt);
+        expectMatchesReference(FVec{0.0f, -0.0f}, fmt);
+        // Exponent clamped at the top: elements saturate at +-maxMant.
+        expectMatchesReference(FVec{1e30f, -1e30f, 3e29f, -1.0f}, fmt);
+        // Exponent clamped at the bottom: tiny elements round to 0.
+        expectMatchesReference(FVec{1e-30f, -2e-30f, 1e-38f}, fmt);
+        expectMatchesReference(FVec{std::ldexp(1.0f, -15),
+                                    -std::ldexp(0.75f, -16)},
+                               fmt);
+    }
+}
+
+/** Exact dot of two mantissa arrays in int64, one product at a time. */
+int64_t
+naiveDot(const std::vector<int16_t> &a, const std::vector<int16_t> &b)
+{
+    int64_t acc = 0;
+    for (size_t i = 0; i < a.size(); ++i)
+        acc += static_cast<int64_t>(a[i]) * b[i];
+    return acc;
+}
+
+TEST(BfpMantDot, MatchesNaiveLoopForEveryWidthAndLength)
+{
+    Rng rng(5);
+    for (int m = 1; m <= kMaxMantBits; ++m) {
+        int32_t max = BfpFormat{1, 5, m}.maxMant();
+        int64_t max_product = static_cast<int64_t>(max) * max;
+        for (size_t n : {1, 7, 8, 9, 32, 100, 128, 400, 1000}) {
+            std::vector<int16_t> a(n), b(n);
+            for (size_t i = 0; i < n; ++i) {
+                a[i] = static_cast<int16_t>(rng.integer(-max, max));
+                b[i] = static_cast<int16_t>(rng.integer(-max, max));
+            }
+            EXPECT_EQ(bfpMantDot(a.data(), b.data(), n, max_product),
+                      naiveDot(a, b))
+                << "m=" << m << " n=" << n;
+            // Worst case: every product +-max^2 with one sign. From 12
+            // bits up this overflows an int32 lane that is never flushed.
+            for (int16_t sa : {1, -1}) {
+                std::vector<int16_t> wa(n, static_cast<int16_t>(sa * max));
+                std::vector<int16_t> wb(n, static_cast<int16_t>(max));
+                EXPECT_EQ(bfpMantDot(wa.data(), wb.data(), n, max_product),
+                          naiveDot(wa, wb))
+                    << "m=" << m << " n=" << n << " sign=" << sa;
+            }
+        }
+    }
+}
+
+TEST(BfpBlock, MixedFormatDotBoundsLanesByBothOperands)
+{
+    // A 2-bit block dotted with a 15-bit block, every element at
+    // +-maxMant: the lane-flush bound must come from 3 * 32767, not from
+    // either operand's format alone. The long length overflows a lane
+    // bounded by the 2-bit side's 3 * 3.
+    BfpFormat narrow{1, 5, 2}, wide{1, 5, kMaxMantBits};
+    for (size_t n : {size_t{400}, size_t{1} << 18}) {
+        for (int32_t sign : {1, -1}) {
+            // 1.5 quantizes to 3 * 2^-1; 32767 * 2^-14 to 32767 * 2^-14.
+            FVec a(n, 1.5f);
+            FVec b(n, static_cast<float>(sign) * 32767.0f / 16384.0f);
+            BfpBlock qa(a, narrow), qb(b, wide);
+            ASSERT_EQ(qa.mantissa(0), narrow.maxMant());
+            ASSERT_EQ(qb.mantissa(0), sign * wide.maxMant());
+            int64_t want = 0;
+            for (size_t i = 0; i < n; ++i)
+                want += static_cast<int64_t>(qa.mantissa(i)) *
+                        qb.mantissa(i);
+            double expect = static_cast<double>(want) * qa.scale() *
+                            qb.scale();
+            EXPECT_EQ(BfpBlock::dot(qa, qb), expect) << "n=" << n;
+            EXPECT_EQ(BfpBlock::dot(qb, qa),
+                      static_cast<double>(want) * qb.scale() * qa.scale())
+                << "n=" << n;
+        }
+    }
 }
 
 TEST(QuantError, Metrics)

@@ -13,6 +13,7 @@
 
 #include <cmath>
 
+#include "bfp/float16.h"
 #include "func/machine.h"
 #include "isa/builder.h"
 #include "tensor/tensor.h"
@@ -64,6 +65,118 @@ TEST(MatrixRegFile, UninitializedReadFails)
     MatrixRegFile mrf(4, 8);
     EXPECT_THROW(mrf.read(0), Error);
     EXPECT_FALSE(mrf.isWritten(0));
+}
+
+TEST(QuantTile, RowsMatchBfpBlocks)
+{
+    // The packed tile holds, row for row, the mantissas and scale a
+    // BfpBlock of that row holds.
+    Rng rng(17);
+    for (int m : {1, 2, 5, 9, 15}) {
+        BfpFormat fmt{1, 5, m};
+        FMat w(16, 16);
+        fillUniform(w, rng, -2.0f, 2.0f);
+        w(3, 0) = 1e30f; // row 3 clamps at the top exponent
+        for (size_t j = 0; j < 16; ++j)
+            w(5, j) = 0.0f; // row 5 is a zero block
+        QuantTile qt(w, fmt);
+        ASSERT_TRUE(qt.valid());
+        ASSERT_EQ(qt.dim(), 16u);
+        FMat deq = qt.dequant();
+        for (size_t r = 0; r < 16; ++r) {
+            BfpBlock b(w.row(r), fmt);
+            EXPECT_EQ(qt.rowScale(r), b.scale()) << "m=" << m << " r=" << r;
+            auto d = b.dequantAll();
+            for (size_t i = 0; i < 16; ++i) {
+                EXPECT_EQ(qt.rowMant(r)[i], b.mantissa(i))
+                    << "m=" << m << " r=" << r << " i=" << i;
+                EXPECT_EQ(deq(r, i), d[i]);
+            }
+        }
+    }
+}
+
+TEST(DramStore, GrowsOnWriteWithinCapacityBounds)
+{
+    // 1 MiB at 2 bytes/element, native dim 8: 65536 vectors, 8192 tiles.
+    DramStore d(1 << 20, 8);
+    const uint32_t max_vecs = 65536, max_tiles = 8192;
+
+    // In range but never written: zeros.
+    EXPECT_EQ(d.readVector(0, 2), FVec(16, 0.0f));
+    EXPECT_EQ(d.readVector(max_vecs - 1, 1), FVec(8, 0.0f));
+
+    FVec v = {1, 2, 3, 4, 5, 6, 7, 8};
+    d.writeVector(10, v);
+    FVec got = d.readVector(9, 3);
+    EXPECT_EQ(FVec(got.begin(), got.begin() + 8), FVec(8, 0.0f));
+    EXPECT_EQ(FVec(got.begin() + 8, got.begin() + 16), v);
+    EXPECT_EQ(FVec(got.begin() + 16, got.end()), FVec(8, 0.0f));
+    d.writeVector(max_vecs - 1, v);
+    EXPECT_EQ(d.readVector(max_vecs - 1, 1), v);
+    EXPECT_EQ(d.readVector(100, 1), FVec(8, 0.0f));
+
+    // Out of range, reads and writes alike.
+    EXPECT_THROW(d.readVector(max_vecs, 1), Error);
+    EXPECT_THROW(d.readVector(max_vecs - 1, 2), Error);
+    EXPECT_THROW(d.writeVector(max_vecs, v), Error);
+    FVec two(16, 1.0f);
+    EXPECT_THROW(d.writeVector(max_vecs - 1, two), Error);
+
+    // Tiles: reading one never written is an error, in range or not.
+    EXPECT_THROW(d.readTile(0), Error);
+    FMat t(8, 8, std::vector<float>(64, 0.5f));
+    d.writeTile(5, t);
+    EXPECT_EQ(d.readTile(5).row(0)[0], 0.5f);
+    EXPECT_THROW(d.readTile(4), Error);
+    EXPECT_THROW(d.readTile(6), Error);
+    d.writeTile(max_tiles - 1, t);
+    EXPECT_EQ(d.readTile(max_tiles - 1).row(7)[7], 0.5f);
+    EXPECT_THROW(d.writeTile(max_tiles, t), Error);
+    EXPECT_THROW(d.readTile(max_tiles), Error);
+}
+
+TEST(FuncMachine, MvMulBitIdenticalToBfpBlockDots)
+{
+    // Each output is the column-ordered double sum of BfpBlock::dot over
+    // the tile row and the quantized input block, rounded to float16.
+    for (int m : {2, 5, 15}) {
+        NpuConfig cfg = tinyConfig(m);
+        FuncMachine mach(cfg);
+        Rng rng(40 + m);
+        const uint32_t rows = 2, cols = 3;
+        std::vector<FMat> tiles;
+        for (uint32_t t = 0; t < rows * cols; ++t) {
+            FMat tile(8, 8);
+            fillUniform(tile, rng, -1.0f, 1.0f);
+            mach.loadMrfTile(t, tile);
+            tiles.push_back(std::move(tile));
+        }
+        FVec x(cols * 8);
+        fillUniform(x, rng, -1.0f, 1.0f);
+        mach.loadVrf(MemId::InitialVrf, 0, x);
+        FVec xh = mach.peekVrf(MemId::InitialVrf, 0, cols);
+
+        ProgramBuilder b;
+        b.tile(rows, cols);
+        b.vRd(MemId::InitialVrf, 0).mvMul(0).vWr(MemId::InitialVrf, 8);
+        mach.run(b.build());
+        FVec got = mach.peekVrf(MemId::InitialVrf, 8, rows);
+
+        for (uint32_t r = 0; r < rows; ++r) {
+            for (size_t i = 0; i < 8; ++i) {
+                double acc = 0.0;
+                for (uint32_t c = 0; c < cols; ++c) {
+                    BfpBlock w(tiles[r * cols + c].row(i), cfg.precision);
+                    BfpBlock in(std::span<const float>(xh).subspan(c * 8, 8),
+                                cfg.precision);
+                    acc += BfpBlock::dot(w, in);
+                }
+                EXPECT_EQ(got[r * 8 + i], roundToHalf(static_cast<float>(acc)))
+                    << "m=" << m << " r=" << r << " i=" << i;
+            }
+        }
+    }
 }
 
 TEST(FuncMachine, CopyChainThroughNetq)
