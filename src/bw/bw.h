@@ -20,7 +20,7 @@
  *
  *   // Concurrent serving (worker threads over accelerator replicas):
  *   auto engine = s.serve({.replicas = 2, .queueDepth = 32});
- *   auto fut = engine->submit(inputs);       // Expected<future<Response>>
+ *   auto fut = engine->submit(serve::Request::functional(inputs));
  *   engine->drain();
  *
  * The pieces remain individually reachable — s.model() is the

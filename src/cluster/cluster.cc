@@ -228,7 +228,7 @@ Cluster::Cluster(ClusterOptions opts)
             s->cache = WeightCache(opts_.weightCacheTiles
                                        ? opts_.weightCacheTiles
                                        : g.config.mrfSize);
-            s->freeS.assign(s->engine->options().replicas, 0.0);
+            s->queue.reset(s->engine->options().replicas);
             shards_.push_back(std::move(s));
         }
     }
@@ -538,13 +538,8 @@ Cluster::virtualLoads(double now_s) const
     loads.reserve(shards_.size());
     for (const auto &s : shards_) {
         EngineLoad l;
-        size_t dequeued = static_cast<size_t>(
-            std::upper_bound(s->starts.begin(), s->starts.end(), now_s) -
-            s->starts.begin());
-        l.queued = s->starts.size() - dequeued;
-        l.inflight = static_cast<uint64_t>(
-            std::count_if(s->freeS.begin(), s->freeS.end(),
-                          [now_s](double f) { return f > now_s; }));
+        l.queued = s->queue.queued(now_s);
+        l.inflight = s->queue.busy(now_s);
         l.queueCapacity = s->engine->options().queueDepth;
         l.healthy = s->healthy;
         loads.push_back(l);
@@ -653,8 +648,7 @@ Cluster::replayReset()
         opts_.spanTracer->clear();
     for (size_t i = 0; i < shards_.size(); ++i) {
         Shard &s = *shards_[i];
-        s.starts.clear();
-        s.freeS.assign(s.engine->options().replicas, 0.0);
+        s.queue.reset(s.engine->options().replicas);
         s.attempt = 0;
         s.routed = s.completed = s.rejected = s.expired = 0;
         s.good = s.reloadedTiles = 0;
@@ -744,21 +738,6 @@ Cluster::replayReset()
                     return a.fault < b.fault;
                 return a.phase < b.phase;
             });
-    }
-}
-
-void
-Cluster::pruneStarts(double now_s)
-{
-    // Entries with start <= now_s are exactly the ones upper_bound
-    // counts as dequeued, so dropping them changes no queued-depth or
-    // admission computation — and under ascending arrivals they can
-    // never count as queued again. Bounds the per-shard history at the
-    // queue depth regardless of trace length.
-    for (auto &sp : shards_) {
-        std::deque<double> &st = sp->starts;
-        while (!st.empty() && st.front() <= now_s)
-            st.pop_front();
     }
 }
 
@@ -864,46 +843,6 @@ Cluster::applyTransition(const ChaosTransition &tr)
     }
 }
 
-void
-Cluster::chaosFail(size_t shard, ShardMetrics *sm, ReplayPass &rp,
-                   const ClusterRequest &req, FaultClass fcls,
-                   obs::FlightClass cls, double fail_s,
-                   double deadline_ms)
-{
-    Shard &s = *shards_[shard];
-    if (cls == obs::FlightClass::DeadlineExpired) {
-        // A hang surfaces as a deadline expiry to the caller.
-        ++s.expired;
-        ++rp.cs.expired;
-        if (sm)
-            sm->expired->inc();
-    } else {
-        ++s.failed;
-        ++rp.cs.failed;
-    }
-    if (metrics::Counter *c = failCounter(shard, fcls))
-        c->inc();
-    incidents_.addAffected(shardChaos_[shard].incident);
-    double a = req.arrivalS;
-    double latency_ms =
-        (fail_s - a) * 1e3 + s.engine->options().networkMs;
-    uint64_t admit_us = toUs(a);
-    uint64_t t_us = std::max(toUs(fail_s), admit_us);
-    obs::FlightRecord fr;
-    fr.seq = s.attempt;
-    fr.cls = cls;
-    fr.steps = req.steps;
-    fr.admitUs = admit_us;
-    fr.dequeueUs = fr.serviceUs = fr.doneUs = t_us;
-    fr.latencyUs =
-        latency_ms > 0
-            ? static_cast<uint64_t>(std::llround(latency_ms * 1e3))
-            : 0;
-    s.flight->record(fr);
-    s.slo->record(t_us, deadline_ms, latency_ms, false);
-    clsMonitor_.record(t_us, deadline_ms, latency_ms, false);
-}
-
 ClusterStats
 Cluster::replay(const std::vector<ClusterRequest> &trace)
 {
@@ -942,7 +881,6 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
               "replay: arrivals must be ascending");
     rp.sawArrival = true;
     rp.lastArrival = req.arrivalS;
-    obs::SpanTracer *tracer = opts_.spanTracer;
     ModelEntry &me = models_[req.model];
     if (me.requests)
         me.requests->inc();
@@ -950,7 +888,10 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
         static_cast<uint32_t>(clsMonitor_.classOf(req.deadlineMs));
     double a = req.arrivalS;
     advanceChaos(a);
-    pruneStarts(a);
+    // Dequeue history virtual time has passed can never count as queued
+    // again (arrivals ascend): pruning bounds it at the queue depth.
+    for (auto &sp : shards_)
+        sp->queue.prune(a);
 
     int32_t target = router_->route(rp.seq, req.model, me.name, cls,
                                     virtualLoads(a));
@@ -968,230 +909,12 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
         clsMonitor_.record(toUs(a), req.deadlineMs, 0.0, false);
         return;
     }
-    if (opts_.hedgeMs >= 0) {
-        replayHedged(req, rp, static_cast<unsigned>(target), cls);
-        return;
-    }
-
-    Shard &s = *shards_[static_cast<size_t>(target)];
-    ShardMetrics *sm = shardMetrics_.empty()
-                           ? nullptr
-                           : &shardMetrics_[static_cast<size_t>(target)];
-    const serve::EngineOptions &eo = s.engine->options();
-    ++s.attempt;
-    ++s.routed;
-    if (sm)
-        sm->routed->inc();
-    if (!s.saw) {
-        s.saw = true;
-        s.firstArrival = a;
-        s.lastDone = a;
-    }
-    double deadline_ms =
-        req.deadlineMs > 0 ? req.deadlineMs : eo.defaultDeadlineMs;
-
-    // Injected fault effects, decided at admission (forward-only
-    // model): a crashed shard errors its callers when the health check
-    // notices, a hung shard eats the request until its deadline, and a
-    // partition drops a deterministic coin-flip of messages (salted by
-    // the submission seq, so replays drop the same ones).
-    const ShardChaos &cc = shardChaos_[static_cast<size_t>(target)];
-    if (cc.down) {
-        chaosFail(static_cast<size_t>(target), sm, rp, req,
-                  FaultClass::ReplicaCrash, obs::FlightClass::Error,
-                  std::max(a, cc.failAtS), deadline_ms);
-        return;
-    }
-    if (cc.hung) {
-        double stall =
-            deadline_ms > 0 ? a + deadline_ms / 1e3 : cc.endS;
-        chaosFail(static_cast<size_t>(target), sm, rp, req,
-                  FaultClass::ReplicaHang,
-                  obs::FlightClass::DeadlineExpired, std::max(a, stall),
-                  deadline_ms);
-        return;
-    }
-    if (cc.dropping &&
-        chaosUniform(chaos_.seed(), cc.fault, rp.seq) < cc.dropProb) {
-        double lost =
-            deadline_ms > 0 ? a + deadline_ms / 1e3 : cc.endS;
-        chaosFail(static_cast<size_t>(target), sm, rp, req,
-                  FaultClass::DroppedMessage, obs::FlightClass::Error,
-                  std::max(a, lost), deadline_ms);
-        return;
-    }
-
-    // From here the shard mirrors Engine::replayUnbatched exactly
-    // (admission check, earliest-free replica, deadline at dequeue),
-    // with the model's service time plus any weight-reload charge
-    // standing in for the engine's single-model service time.
-    size_t dequeued = static_cast<size_t>(
-        std::upper_bound(s.starts.begin(), s.starts.end(), a) -
-        s.starts.begin());
-    if (s.starts.size() - dequeued >= eo.queueDepth) {
-        ++s.rejected;
-        ++cs.rejected;
-        if (sm)
-            sm->rejected->inc();
-        uint64_t t_us = toUs(a);
-        obs::FlightRecord fr;
-        fr.seq = s.attempt;
-        fr.cls = obs::FlightClass::Rejected;
-        fr.steps = req.steps;
-        fr.admitUs = fr.dequeueUs = fr.serviceUs = fr.doneUs = t_us;
-        s.flight->record(fr);
-        s.slo->record(t_us, deadline_ms, 0.0, false);
-        clsMonitor_.record(t_us, deadline_ms, 0.0, false);
-        return;
-    }
-
-    uint64_t tiles = modelTiles(req.model, s.group);
-    WeightTouch wt = s.cache.touch(req.model, tiles);
-    double reload_ms = 0;
-    if (wt.hit) {
-        if (sm)
-            sm->cacheHits->inc();
-    } else {
-        reload_ms = reloadMs(s.group, wt.loadedTiles);
-        s.reloadedTiles += wt.loadedTiles;
-        s.reloadMsTotal += reload_ms;
-        if (sm) {
-            sm->cacheMisses->inc();
-            if (wt.evictions)
-                sm->cacheEvictions->add(wt.evictions);
-            sm->reloadUs->add(
-                static_cast<uint64_t>(std::llround(reload_ms * 1e3)));
-        }
-    }
-
-    double net_s = eo.networkMs / 1e3;
-    size_t r = static_cast<size_t>(
-        std::min_element(s.freeS.begin(), s.freeS.end()) -
-        s.freeS.begin());
-    double start = std::max(a + net_s / 2, s.freeS[r]);
-    s.starts.push_back(start);
-    ++rp.admitted;
-    obs::TraceContext ctx =
-        tracer ? tracer->admit(rp.admitted) : obs::TraceContext{};
-    uint64_t admit_us = toUs(a);
-    uint64_t start_us = std::max(toUs(start), admit_us);
-
-    if (deadline_ms > 0 && (start - a) * 1e3 > deadline_ms) {
-        ++s.expired;
-        ++cs.expired;
-        if (sm)
-            sm->expired->inc();
-        double latency_ms = (start - a) * 1e3 + eo.networkMs;
-        if (ctx.sampled()) {
-            obs::RouteSpan rs;
-            rs.trace = ctx.trace;
-            rs.admitUs = admit_us;
-            rs.doneUs = start_us;
-            rs.engine = static_cast<uint32_t>(target);
-            rs.model = req.model;
-            rs.outcome = obs::SpanOutcome::DeadlineExpired;
-            obs::SpanId root = obs::recordRouteSpan(*tracer, rs);
-            obs::RequestSpans qs;
-            qs.trace = ctx.trace;
-            qs.admitUs = admit_us;
-            qs.dequeueUs = qs.serviceUs = qs.doneUs = start_us;
-            qs.replica = static_cast<uint32_t>(r);
-            qs.outcome = obs::SpanOutcome::DeadlineExpired;
-            obs::recordRequestTree(*tracer, qs, root);
-        }
-        obs::FlightRecord fr;
-        fr.seq = s.attempt;
-        fr.id = rp.admitted;
-        fr.cls = obs::FlightClass::DeadlineExpired;
-        fr.sampled = ctx.sampled();
-        fr.replica = static_cast<uint32_t>(r);
-        fr.steps = req.steps;
-        fr.admitUs = admit_us;
-        fr.dequeueUs = fr.serviceUs = fr.doneUs = start_us;
-        fr.latencyUs = latency_ms > 0
-                           ? static_cast<uint64_t>(
-                                 std::llround(latency_ms * 1e3))
-                           : 0;
-        s.flight->record(fr);
-        s.slo->record(start_us, deadline_ms, latency_ms, false);
-        clsMonitor_.record(start_us, deadline_ms, latency_ms, false);
-        return;
-    }
-
-    double model_ms = modelServiceMs(req.model, s.group, req.steps);
-    if (opts_.auditEvery > 0 && !me.timed &&
-        opts_.fidelity != timing::Fidelity::CycleAccurate &&
-        rp.seq % opts_.auditEvery == 0)
-        auditCheck(rp.seq, req.model, s.group, req.steps, model_ms);
-    if (cc.slow) {
-        // Degraded, not dead: the request completes, stretched. Audited
-        // above with the undegraded price — the audit compares timing
-        // models, not fault effects.
-        model_ms *= cc.slowFactor;
-        if (metrics::Counter *c = failCounter(
-                static_cast<size_t>(target), FaultClass::SlowReplica))
-            c->inc();
-        incidents_.addAffected(cc.incident);
-    }
-    double service_ms = model_ms + reload_ms;
-    double done = start + service_ms / 1e3;
-    s.freeS[r] = done;
-    s.lastDone = std::max(s.lastDone, done);
-    double latency_ms = (done + net_s / 2 - a) * 1e3;
-    if (rp.streaming)
-        s.sketch.record(latency_ms);
-    else
-        s.latencies.push_back(latency_ms);
-    ++s.completed;
-    ++cs.completed;
-    if (sm)
-        sm->completed->inc();
-    if (deadline_ms <= 0 || latency_ms <= deadline_ms)
-        ++s.good;
-    uint64_t done_us = std::max(toUs(done), start_us);
-    if (ctx.sampled()) {
-        obs::RouteSpan rs;
-        rs.trace = ctx.trace;
-        rs.admitUs = admit_us;
-        rs.doneUs = done_us;
-        rs.engine = static_cast<uint32_t>(target);
-        rs.model = req.model;
-        rs.outcome = obs::SpanOutcome::Ok;
-        obs::SpanId root = obs::recordRouteSpan(*tracer, rs);
-        obs::RequestSpans qs;
-        qs.trace = ctx.trace;
-        qs.admitUs = admit_us;
-        qs.dequeueUs = qs.serviceUs = start_us;
-        qs.doneUs = done_us;
-        qs.replica = static_cast<uint32_t>(r);
-        qs.outcome = obs::SpanOutcome::Ok;
-        obs::SpanId exec = obs::recordRequestTree(*tracer, qs, root);
-        if (exec)
-            stitchChainSpans(*tracer, ctx.trace, exec, req.model,
-                             s.group, req.steps, start_us, done_us);
-    }
-    obs::FlightRecord fr;
-    fr.seq = s.attempt;
-    fr.id = rp.admitted;
-    fr.cls = obs::FlightClass::Ok;
-    fr.sampled = ctx.sampled();
-    fr.replica = static_cast<uint32_t>(r);
-    fr.steps = req.steps;
-    fr.admitUs = admit_us;
-    fr.dequeueUs = fr.serviceUs = start_us;
-    fr.doneUs = done_us;
-    fr.latencyUs =
-        latency_ms > 0
-            ? static_cast<uint64_t>(std::llround(latency_ms * 1e3))
-            : 0;
-    s.flight->record(fr);
-    s.slo->record(done_us, deadline_ms, latency_ms, true);
-    clsMonitor_.record(done_us, deadline_ms, latency_ms, true);
+    dispatch(req, rp, static_cast<unsigned>(target));
 }
 
-// --- Hedged dispatch (replay) ---
+// --- Dispatch (replay) ---
 
-Cluster::HedgeAttempt
+Cluster::Attempt
 Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
                     ReplayPass &rp)
 {
@@ -1199,7 +922,7 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
     ShardMetrics *sm =
         shardMetrics_.empty() ? nullptr : &shardMetrics_[shard];
     const serve::EngineOptions &eo = s.engine->options();
-    HedgeAttempt at;
+    Attempt at;
     at.shard = shard;
     at.dispatchS = t;
     ++s.attempt;
@@ -1215,61 +938,48 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
     at.deadlineMs =
         req.deadlineMs > 0 ? req.deadlineMs : eo.defaultDeadlineMs;
 
-    // Fault effects first — a crashed or partitioned shard never
-    // queues the attempt (same order as the single-dispatch path).
+    // Injected fault effects, decided at admission (forward-only
+    // model), before the attempt can queue: a crashed shard errors its
+    // callers when the health check notices, a hung shard eats the
+    // request until its deadline, and a partition drops a deterministic
+    // coin-flip of messages (salted by the submission seq, so replays
+    // drop the same ones), which the caller also notices at the
+    // deadline.
     const ShardChaos &cc = shardChaos_[shard];
-    if (cc.down) {
-        at.kind = HedgeAttempt::Kind::Faulted;
-        at.fcls = obs::FlightClass::Error;
-        at.clientDoneS = std::max(t, cc.failAtS);
+    FaultClass fault = FaultClass::NumFaultClasses;
+    if (cc.down)
+        fault = FaultClass::ReplicaCrash;
+    else if (cc.hung)
+        fault = FaultClass::ReplicaHang;
+    else if (cc.dropping &&
+             chaosUniform(chaos_.seed(), cc.fault, rp.seq) < cc.dropProb)
+        fault = FaultClass::DroppedMessage;
+    if (fault != FaultClass::NumFaultClasses) {
+        double fail_s = fault == FaultClass::ReplicaCrash ? cc.failAtS
+                        : at.deadlineMs > 0 ? t + at.deadlineMs / 1e3
+                                            : cc.endS;
+        at.kind = Attempt::Kind::Faulted;
+        at.clientDoneS = std::max(t, fail_s);
         at.startS = at.doneS = at.clientDoneS;
         at.latencyMs = (at.clientDoneS - t) * 1e3 + eo.networkMs;
-        ++s.failed;
-        if (metrics::Counter *c =
-                failCounter(shard, FaultClass::ReplicaCrash))
-            c->inc();
-        incidents_.addAffected(cc.incident);
-        return at;
-    }
-    if (cc.hung) {
-        at.kind = HedgeAttempt::Kind::Faulted;
-        at.fcls = obs::FlightClass::DeadlineExpired;
-        double stall =
-            at.deadlineMs > 0 ? t + at.deadlineMs / 1e3 : cc.endS;
-        at.clientDoneS = std::max(t, stall);
-        at.startS = at.doneS = at.clientDoneS;
-        at.latencyMs = (at.clientDoneS - t) * 1e3 + eo.networkMs;
-        ++s.expired;
-        if (sm)
-            sm->expired->inc();
-        if (metrics::Counter *c =
-                failCounter(shard, FaultClass::ReplicaHang))
-            c->inc();
-        incidents_.addAffected(cc.incident);
-        return at;
-    }
-    if (cc.dropping &&
-        chaosUniform(chaos_.seed(), cc.fault, rp.seq) < cc.dropProb) {
-        at.kind = HedgeAttempt::Kind::Faulted;
-        at.fcls = obs::FlightClass::Error;
-        double lost =
-            at.deadlineMs > 0 ? t + at.deadlineMs / 1e3 : cc.endS;
-        at.clientDoneS = std::max(t, lost);
-        at.startS = at.doneS = at.clientDoneS;
-        at.latencyMs = (at.clientDoneS - t) * 1e3 + eo.networkMs;
-        ++s.failed;
-        if (metrics::Counter *c =
-                failCounter(shard, FaultClass::DroppedMessage))
+        if (fault == FaultClass::ReplicaHang) {
+            // A hang surfaces as a deadline expiry to the caller.
+            at.fcls = obs::FlightClass::DeadlineExpired;
+            ++s.expired;
+            if (sm)
+                sm->expired->inc();
+        } else {
+            at.fcls = obs::FlightClass::Error;
+            ++s.failed;
+        }
+        if (metrics::Counter *c = failCounter(shard, fault))
             c->inc();
         incidents_.addAffected(cc.incident);
         return at;
     }
 
-    size_t dequeued = static_cast<size_t>(
-        std::upper_bound(s.starts.begin(), s.starts.end(), t) -
-        s.starts.begin());
-    if (s.starts.size() - dequeued >= eo.queueDepth) {
-        at.kind = HedgeAttempt::Kind::Rejected;
+    if (s.queue.full(t, eo.queueDepth)) {
+        at.kind = Attempt::Kind::Rejected;
         at.fcls = obs::FlightClass::Rejected;
         at.startS = at.doneS = at.clientDoneS = t;
         ++s.rejected;
@@ -1300,17 +1010,12 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
     }
 
     double net_s = eo.networkMs / 1e3;
-    size_t r = static_cast<size_t>(
-        std::min_element(s.freeS.begin(), s.freeS.end()) -
-        s.freeS.begin());
-    at.replica = r;
-    at.prevFree = s.freeS[r];
-    double start = std::max(t + net_s / 2, s.freeS[r]);
-    s.starts.push_back(start);
+    at.slot = s.queue.reserve(t, net_s);
     at.reserved = true;
+    double start = at.slot.startS;
     at.startS = start;
     if (at.deadlineMs > 0 && (start - t) * 1e3 > at.deadlineMs) {
-        at.kind = HedgeAttempt::Kind::Expired;
+        at.kind = Attempt::Kind::Expired;
         at.fcls = obs::FlightClass::DeadlineExpired;
         at.doneS = at.clientDoneS = start;
         at.latencyMs = (start - t) * 1e3 + eo.networkMs;
@@ -1320,8 +1025,11 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         return at;
     }
 
+    // The model's service time plus any weight-reload charge stands in
+    // for the engine's single-model service time.
     double model_ms = modelServiceMs(req.model, s.group, req.steps);
     if (cc.slow) {
+        // Degraded, not dead: the request completes, stretched.
         model_ms *= cc.slowFactor;
         if (metrics::Counter *c =
                 failCounter(shard, FaultClass::SlowReplica))
@@ -1329,8 +1037,8 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         incidents_.addAffected(cc.incident);
     }
     double done = start + (model_ms + reload_ms) / 1e3;
-    s.freeS[r] = done;
-    at.kind = HedgeAttempt::Kind::Completed;
+    s.queue.release(at.slot.replica, done);
+    at.kind = Attempt::Kind::Completed;
     at.fcls = obs::FlightClass::Ok;
     at.doneS = done;
     at.clientDoneS = done + net_s / 2;
@@ -1339,7 +1047,7 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
 }
 
 void
-Cluster::recordAttemptFlight(const HedgeAttempt &at, uint64_t id,
+Cluster::recordAttemptFlight(const Attempt &at, uint64_t id,
                              bool sampled, unsigned steps)
 {
     Shard &s = *shards_[at.shard];
@@ -1351,18 +1059,11 @@ Cluster::recordAttemptFlight(const HedgeAttempt &at, uint64_t id,
     fr.id = id;
     fr.cls = at.fcls;
     fr.sampled = sampled;
-    fr.replica = static_cast<uint32_t>(at.replica);
+    fr.replica = static_cast<uint32_t>(at.slot.replica);
     fr.steps = steps;
     fr.admitUs = admit_us;
-    switch (at.fcls) {
-    case obs::FlightClass::Rejected:
-        fr.dequeueUs = fr.serviceUs = fr.doneUs = admit_us;
-        break;
-    default:
-        fr.dequeueUs = fr.serviceUs = start_us;
-        fr.doneUs = done_us;
-        break;
-    }
+    fr.dequeueUs = fr.serviceUs = start_us;
+    fr.doneUs = done_us;
     fr.latencyUs =
         at.latencyMs > 0
             ? static_cast<uint64_t>(std::llround(at.latencyMs * 1e3))
@@ -1397,18 +1098,24 @@ constexpr obs::SpanId kHedgeIdStride = 512;
 } // namespace
 
 void
-Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
-                      unsigned primary, uint32_t cls)
+Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
+                  unsigned primary)
 {
-    (void)cls;
     ClusterStats &cs = rp.cs;
     double a = req.arrivalS;
     obs::SpanTracer *tracer = opts_.spanTracer;
-    ++rp.admitted;
-    obs::TraceContext ctx =
-        tracer ? tracer->admit(rp.admitted) : obs::TraceContext{};
+    bool hedging = opts_.hedgeMs >= 0;
+    Attempt p = runAttempt(primary, a, req, rp);
 
-    HedgeAttempt p = runAttempt(primary, a, req, rp);
+    // A hedged request takes its id (trace and flight) when routed; an
+    // unhedged one only once its attempt holds a queue slot, the way
+    // Engine::replay numbers admitted requests.
+    uint64_t id = 0;
+    obs::TraceContext ctx;
+    if (hedging || p.reserved) {
+        id = ++rp.admitted;
+        ctx = tracer ? tracer->admit(id) : obs::TraceContext{};
+    }
 
     // Hedge when the primary misses the latency budget or fails
     // outright; the duplicate goes to the least-loaded other healthy
@@ -1418,9 +1125,10 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
     // every later request in the window), so the hedge acts on health
     // knowledge as of the arrival — the same detection lag callers
     // already live with.
-    bool wantHedge = p.kind != HedgeAttempt::Kind::Completed ||
-                     p.latencyMs > opts_.hedgeMs;
-    HedgeAttempt h;
+    bool wantHedge =
+        hedging && (p.kind != Attempt::Kind::Completed ||
+                    p.latencyMs > opts_.hedgeMs);
+    Attempt h;
     bool hedged = false;
     if (wantHedge) {
         double t_h = a + std::max(0.0, opts_.hedgeMs) / 1e3;
@@ -1449,15 +1157,15 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
     // the nothing-completed case go to the primary.
     bool pWins = true;
     if (hedged) {
-        bool pOk = p.kind == HedgeAttempt::Kind::Completed;
-        bool hOk = h.kind == HedgeAttempt::Kind::Completed;
+        bool pOk = p.kind == Attempt::Kind::Completed;
+        bool hOk = h.kind == Attempt::Kind::Completed;
         if (pOk && hOk)
             pWins = p.clientDoneS <= h.clientDoneS;
         else if (hOk)
             pWins = false;
     }
-    HedgeAttempt &w = pWins ? p : h;
-    HedgeAttempt *loser = hedged ? (pWins ? &h : &p) : nullptr;
+    Attempt &w = pWins ? p : h;
+    Attempt *loser = hedged ? (pWins ? &h : &p) : nullptr;
     if (hedged && !pWins) {
         ++cs.hedgeWins;
         if (hedgeWinsC_)
@@ -1467,18 +1175,16 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
     // Cancel a loser that would still have completed: before service
     // start, the reservation is undone (its queue slot and replica
     // never ran); mid-service, the replica frees at the cancel point.
-    if (loser && loser->kind == HedgeAttempt::Kind::Completed) {
+    if (loser && loser->kind == Attempt::Kind::Completed) {
         Shard &ls = *shards_[loser->shard];
         double c = w.clientDoneS;
         if (loser->startS >= c) {
-            ls.freeS[loser->replica] = loser->prevFree;
-            if (!ls.starts.empty())
-                ls.starts.pop_back();
+            ls.queue.undo(loser->slot);
             loser->startS = c;
             loser->doneS = c;
         } else {
             loser->doneS = std::min(loser->doneS, c);
-            ls.freeS[loser->replica] = loser->doneS;
+            ls.queue.release(loser->slot.replica, loser->doneS);
         }
         loser->fcls = obs::FlightClass::Cancelled;
         loser->latencyMs = (loser->doneS - loser->dispatchS) * 1e3;
@@ -1488,14 +1194,24 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
         ls.lastDone = std::max(ls.lastDone, loser->doneS);
     }
 
+    // The fidelity audit re-prices unhedged completions at their
+    // undegraded service time (it compares timing models, not fault
+    // effects). Hedged attempts are not audited.
+    Shard &ws = *shards_[w.shard];
+    if (!hedging && w.kind == Attempt::Kind::Completed &&
+        opts_.auditEvery > 0 && !models_[req.model].timed &&
+        opts_.fidelity != timing::Fidelity::CycleAccurate &&
+        rp.seq % opts_.auditEvery == 0)
+        auditCheck(rp.seq, req.model, ws.group, req.steps,
+                   modelServiceMs(req.model, ws.group, req.steps));
+
     // Cluster-level accounting from the winner only — the caller saw
     // exactly one outcome. (Per-shard reports count every attempt.)
-    Shard &ws = *shards_[w.shard];
     ShardMetrics *wsm =
         shardMetrics_.empty() ? nullptr : &shardMetrics_[w.shard];
     uint64_t admit_us = toUs(a);
     switch (w.kind) {
-    case HedgeAttempt::Kind::Completed: {
+    case Attempt::Kind::Completed: {
         double full_ms = (w.clientDoneS - a) * 1e3;
         ++ws.completed;
         ++cs.completed;
@@ -1513,20 +1229,20 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
         clsMonitor_.record(done_us, w.deadlineMs, full_ms, true);
         break;
     }
-    case HedgeAttempt::Kind::Rejected: {
+    case Attempt::Kind::Rejected: {
         ++cs.rejected;
         ws.slo->record(admit_us, w.deadlineMs, 0.0, false);
         clsMonitor_.record(admit_us, w.deadlineMs, 0.0, false);
         break;
     }
-    case HedgeAttempt::Kind::Expired: {
+    case Attempt::Kind::Expired: {
         ++cs.expired;
         uint64_t t_us = std::max(toUs(w.startS), admit_us);
         ws.slo->record(t_us, w.deadlineMs, w.latencyMs, false);
         clsMonitor_.record(t_us, w.deadlineMs, w.latencyMs, false);
         break;
     }
-    case HedgeAttempt::Kind::Faulted:
+    case Attempt::Kind::Faulted:
     default: {
         if (w.fcls == obs::FlightClass::DeadlineExpired)
             ++cs.expired;
@@ -1540,15 +1256,16 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
     }
 
     // Flight records in dispatch order: primary, then hedge.
-    recordAttemptFlight(p, rp.admitted, ctx.sampled(), req.steps);
+    recordAttemptFlight(p, id, ctx.sampled(), req.steps);
     if (hedged)
-        recordAttemptFlight(h, rp.admitted, ctx.sampled(), req.steps);
+        recordAttemptFlight(h, id, ctx.sampled(), req.steps);
 
-    // Span tree: route root -> hedge[i] children -> nested request
-    // trees. The winner stamps the root's outcome/engine; the loser's
-    // hedge span shows the cancellation.
+    // Span tree: route root -> request tree per attempt. Hedging puts
+    // a hedge[i] span between the two (the winner stamps the root's
+    // outcome/engine; the loser's hedge span shows the cancellation);
+    // an unhedged request hangs its tree off the root directly.
     if (ctx.sampled() && tracer) {
-        auto endOf = [&](const HedgeAttempt &at) {
+        auto endOf = [&](const Attempt &at) {
             uint64_t d = toUs(at.dispatchS);
             return std::max(std::max(toUs(at.doneS), toUs(at.startS)),
                             d);
@@ -1557,36 +1274,37 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
         if (hedged)
             root_end = std::max(root_end, endOf(h));
 
-        obs::SpanRecord root;
-        root.trace = ctx.trace;
-        root.id = 1;
-        root.parent = 0;
-        root.kind = obs::SpanKind::Route;
-        root.outcome = attemptOutcome(w.fcls);
-        root.index = w.shard;
-        root.chainId = req.model;
-        root.startUs = admit_us;
-        root.endUs = root_end;
-        tracer->record(root);
+        obs::RouteSpan rs;
+        rs.trace = ctx.trace;
+        rs.admitUs = admit_us;
+        rs.doneUs = root_end;
+        rs.engine = w.shard;
+        rs.model = req.model;
+        rs.outcome = attemptOutcome(w.fcls);
+        obs::SpanId root = obs::recordRouteSpan(*tracer, rs);
 
-        const HedgeAttempt *attempts[2] = {&p, hedged ? &h : nullptr};
+        const Attempt *attempts[2] = {&p, hedged ? &h : nullptr};
         for (uint32_t i = 0; i < 2; ++i) {
-            const HedgeAttempt *at = attempts[i];
+            const Attempt *at = attempts[i];
             if (!at)
                 continue;
             uint64_t h_start = std::max(toUs(at->dispatchS), admit_us);
             uint64_t h_end = std::max(endOf(*at), h_start);
-            obs::SpanRecord hs;
-            hs.trace = ctx.trace;
-            hs.id = 2 + i * kHedgeIdStride;
-            hs.parent = 1;
-            hs.kind = obs::SpanKind::Hedge;
-            hs.outcome = attemptOutcome(at->fcls);
-            hs.index = i;           // hedge ordinal: "hedge[i]"
-            hs.chainId = at->shard; // the engine this attempt hit
-            hs.startUs = h_start;
-            hs.endUs = h_end;
-            tracer->record(hs);
+            obs::SpanId parent = root;
+            if (hedging) {
+                obs::SpanRecord hs;
+                hs.trace = ctx.trace;
+                hs.id = 2 + i * kHedgeIdStride;
+                hs.parent = root;
+                hs.kind = obs::SpanKind::Hedge;
+                hs.outcome = attemptOutcome(at->fcls);
+                hs.index = i;           // hedge ordinal: "hedge[i]"
+                hs.chainId = at->shard; // the engine this attempt hit
+                hs.startUs = h_start;
+                hs.endUs = h_end;
+                tracer->record(hs);
+                parent = hs.id;
+            }
 
             obs::RequestSpans qs;
             qs.trace = ctx.trace;
@@ -1594,10 +1312,10 @@ Cluster::replayHedged(const ClusterRequest &req, ReplayPass &rp,
             qs.dequeueUs = qs.serviceUs =
                 std::max(toUs(at->startS), h_start);
             qs.doneUs = h_end;
-            qs.replica = static_cast<uint32_t>(at->replica);
+            qs.replica = static_cast<uint32_t>(at->slot.replica);
             qs.outcome = attemptOutcome(at->fcls);
             obs::SpanId exec =
-                obs::recordRequestTree(*tracer, qs, hs.id);
+                obs::recordRequestTree(*tracer, qs, parent);
             if (exec && at->fcls == obs::FlightClass::Ok)
                 stitchChainSpans(*tracer, ctx.trace, exec, req.model,
                                  shards_[at->shard]->group, req.steps,
@@ -1947,12 +1665,6 @@ Cluster::submit(uint32_t model, serve::Request req)
                     std::chrono::microseconds(50));
             }
         });
-}
-
-Expected<std::future<serve::Response>>
-Cluster::submitTimed(uint32_t model, unsigned steps, double deadline_ms)
-{
-    return submit(model, serve::Request::timed(steps, deadline_ms));
 }
 
 void

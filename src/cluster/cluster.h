@@ -28,20 +28,19 @@
  *     with class-ordered admission shedding — and logs every decision.
  *
  * Determinism contract: replay(trace) pushes a generateTraffic() trace
- * through routing, weight caching and the exact per-engine virtual-time
- * queueing discipline of Engine::replayUnbatched, with no threads and
- * no clocks. Two replays of one trace produce byte-identical router
- * decision logs, per-engine bw.flight/1 and bw.slo/1 documents, and
- * span-tree exports (tested). A single-group, single-engine cluster
- * serving one zero-footprint model degenerates to Engine::replay()
- * bit-identically (tested).
+ * through routing, weight caching and the per-engine virtual-time
+ * queueing discipline Engine::replayUnbatched also uses
+ * (serve::ReplicaQueue), with no threads and no clocks. Two replays
+ * of one trace produce byte-identical router decision logs, per-engine
+ * bw.flight/1 and bw.slo/1 documents, and span-tree exports (tested).
+ * A single-group, single-engine cluster serving one zero-footprint
+ * model degenerates to Engine::replay() bit-identically (tested).
  */
 
 #ifndef BW_CLUSTER_CLUSTER_H
 #define BW_CLUSTER_CLUSTER_H
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -61,6 +60,7 @@
 #include "obs/incident.h"
 #include "obs/span.h"
 #include "serve/engine.h"
+#include "serve/replica_queue.h"
 #include "serve/session.h"
 #include "serve/slo.h"
 
@@ -141,9 +141,11 @@ struct ClusterOptions
      * routed request's primary attempt misses this budget (or fails
      * outright), a duplicate is dispatched to the least-loaded other
      * healthy shard and the first completion wins; the loser is
-     * cancelled. Negative disables hedging (the default — the
-     * non-hedged replay path is byte-identical to earlier builds).
-     * Zero hedges every request.
+     * cancelled. Negative disables hedging (the default). Zero hedges
+     * every request. A budget no attempt ever misses exports the same
+     * stats, route log, SLO and flight documents as no hedging; only
+     * the span trees differ, by one hedge[0] span per sampled trace
+     * (tested).
      */
     double hedgeMs = -1;
 
@@ -218,7 +220,7 @@ struct ClusterStats
  * A cluster of serve::Engine shards behind a front-door Router.
  * Construction builds every shard (engine + registry + flight recorder
  * + SLO monitor + weight cache); models register afterwards. replay()
- * is single-threaded virtual time; submitTimed() is the live threaded
+ * is single-threaded virtual time; submit() is the live threaded
  * path (router decisions serialized under one lock, service on the
  * shard engines' worker pools).
  */
@@ -316,9 +318,10 @@ class Cluster
      * arrivals, e.g. generateTraffic()). Resets router log, weight
      * caches (re-warmed when warmStart), per-engine flight recorders
      * and SLO monitors, the cluster SLO monitor, and the span tracer,
-     * then routes every request and mirrors Engine::replayUnbatched
-     * per shard with model service + weight-reload charging. Requests
-     * without a deadline inherit the target shard's defaultDeadlineMs.
+     * then routes every request and queues it on the shard's replica
+     * queue (Engine::replayUnbatched's discipline) with model service
+     * + weight-reload charging. Requests without a deadline inherit
+     * the target shard's defaultDeadlineMs.
      */
     ClusterStats replay(const std::vector<ClusterRequest> &trace);
 
@@ -359,10 +362,6 @@ class Cluster
      */
     Expected<std::future<serve::Response>> submit(uint32_t model,
                                                   serve::Request req);
-
-    /** Deprecated shim for submit(model, serve::Request::timed(...)). */
-    Expected<std::future<serve::Response>>
-    submitTimed(uint32_t model, unsigned steps, double deadline_ms = 0);
 
     /** Drain every shard (stop admitting, wait for in-flight work). */
     void drain();
@@ -466,13 +465,11 @@ class Cluster
         metrics::Gauge *queueDepth = nullptr;
         metrics::Gauge *inflight = nullptr;
 
-        // Virtual-time replay state (mirrors Engine::replayUnbatched).
-        // A deque, not a vector: streaming replay prunes entries whose
-        // start has passed (they can never count as queued again under
-        // ascending arrivals), bounding memory at the queue depth.
-        std::deque<double> starts; //!< dequeue time per admitted req
-        std::vector<double> freeS; //!< per-replica next-free time
-        uint64_t attempt = 0;      //!< per-shard flight seq counter
+        // Virtual-time replay state: the shard's replica queue (pruned
+        // at every arrival, so its history stays bounded by the queue
+        // depth) and its flight sequence counter.
+        serve::ReplicaQueue queue;
+        uint64_t attempt = 0; //!< per-shard flight seq counter
 
         /** Health-check verdict: false once the checker evicts the
          *  shard (replay: chaos detection; live: setShardHealthy). */
@@ -536,8 +533,6 @@ class Cluster
     void replayReset();
     void replayOne(const ClusterRequest &req, ReplayPass &rp);
     ClusterStats replayFinish(ReplayPass &rp);
-    /** Drop per-shard dequeue history that virtual time has passed. */
-    void pruneStarts(double now_s);
 
     // --- Chaos plane (replay fault injection + incident telemetry). ---
 
@@ -575,10 +570,10 @@ class Cluster
         Phase phase = Fire;
     };
 
-    /** One dispatch attempt of a hedged request: all shard-state
-     *  mutations committed, nothing recorded yet (the winner decides
-     *  the record phase). */
-    struct HedgeAttempt
+    /** One dispatch attempt of a routed request (the primary, or a
+     *  hedge): all shard-state mutations committed, nothing recorded
+     *  yet (the winner decides the record phase). */
+    struct Attempt
     {
         enum class Kind : uint8_t
         {
@@ -596,9 +591,9 @@ class Cluster
         double clientDoneS = 0; //!< when the caller hears the outcome
         double latencyMs = 0;   //!< caller-observed, from dispatchS
         double deadlineMs = 0;  //!< resolved against the shard default
-        size_t replica = 0;
-        bool reserved = false;  //!< starts/freeS mutated (undo window)
-        double prevFree = 0;    //!< freeS[replica] before reservation
+        /** The queue slot (valid when reserved; replica 0 otherwise). */
+        serve::ReplicaQueue::Reservation slot;
+        bool reserved = false;  //!< holds a queue slot (undo window)
         obs::FlightClass fcls = obs::FlightClass::Ok;
     };
 
@@ -607,27 +602,25 @@ class Cluster
     void applyTransition(const ChaosTransition &tr);
     void setHealthGauge(size_t shard, double state);
     metrics::Counter *failCounter(size_t shard, FaultClass cls);
-    /** Charge a fault-failed request on the single-dispatch path. */
-    void chaosFail(size_t shard, ShardMetrics *sm, ReplayPass &rp,
-                   const ClusterRequest &req, FaultClass fcls,
-                   obs::FlightClass cls, double fail_s,
-                   double deadline_ms);
-
-    /** Run one dispatch attempt of a hedged request against @p shard
-     *  at virtual time @p t, committing queue/cache/replica state. */
-    HedgeAttempt runAttempt(unsigned shard, double t,
-                            const ClusterRequest &req, ReplayPass &rp);
-    /** The hedged routed path of replayOne (opts_.hedgeMs >= 0). */
-    void replayHedged(const ClusterRequest &req, ReplayPass &rp,
-                      unsigned primary, uint32_t cls);
-    void recordAttemptFlight(const HedgeAttempt &at, uint64_t id,
+    /** Run one dispatch attempt against @p shard at virtual time
+     *  @p t: fault effects, admission, weight cache, queue slot and
+     *  service — the only code that charges them. Commits shard state
+     *  and per-shard counters; records nothing else. */
+    Attempt runAttempt(unsigned shard, double t,
+                       const ClusterRequest &req, ReplayPass &rp);
+    /** Serve one routed request: the primary attempt, a hedge when
+     *  opts_.hedgeMs >= 0 and the primary misses it, first-wins
+     *  cancellation, then the cluster-level records of the outcome. */
+    void dispatch(const ClusterRequest &req, ReplayPass &rp,
+                  unsigned primary);
+    void recordAttemptFlight(const Attempt &at, uint64_t id,
                              bool sampled, unsigned steps);
 
     /** Cycle-accurate service time for the audit (cached per
      *  (model, group, steps), like serviceCache_). */
     double exactServiceMs(uint32_t model, size_t group, unsigned steps);
-    /** Sampled fast-vs-cycle-accurate comparison (replay completed
-     *  path). */
+    /** Sampled fast-vs-cycle-accurate comparison (unhedged replay
+     *  completions). */
     void auditCheck(uint64_t seq, uint32_t model, size_t group,
                     unsigned steps, double fast_ms);
     /** Attach chain leaf spans under @p execute from the compiled

@@ -7,6 +7,7 @@
 #include "common/env_doc.h"
 #include "common/logging.h"
 #include "metrics/http_server.h"
+#include "serve/replica_queue.h"
 #include "serve/slo.h"
 #include "timing/npu_timing.h"
 
@@ -389,25 +390,6 @@ Engine::submit(Request req)
     p.serviceMsReq =
         req.serviceMsOverride > 0 ? req.serviceMsOverride : 0.0;
     return enqueue(std::move(p));
-}
-
-Expected<std::future<Response>>
-Engine::submit(std::vector<FVec> xs, double deadline_ms)
-{
-    return submit(Request::functional(std::move(xs), deadline_ms));
-}
-
-Expected<std::future<Response>>
-Engine::submitTimed(unsigned steps, double deadline_ms)
-{
-    return submit(Request::timed(steps, deadline_ms));
-}
-
-Expected<std::future<Response>>
-Engine::submitTimed(unsigned steps, double deadline_ms,
-                    double service_ms)
-{
-    return submit(Request::timed(steps, deadline_ms, service_ms));
 }
 
 Expected<std::future<Response>>
@@ -1121,23 +1103,15 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
     double service_s = service_ms / 1e3;
     double net_s = opts_.networkMs / 1e3;
     double deadline_ms = opts_.defaultDeadlineMs;
-    std::vector<double> free_s(opts_.replicas, 0.0);
-    // Service-start (dequeue) time of each admitted request, ascending
-    // (FIFO + earliest-free replica keeps starts nondecreasing); the
-    // queue occupancy seen by a new arrival is the admitted requests
-    // not yet dequeued.
-    std::vector<double> starts;
-    starts.reserve(arrivals_s.size());
+    ReplicaQueue queue(opts_.replicas);
     std::vector<double> latencies;
     latencies.reserve(arrivals_s.size());
     double last_done = arrivals_s.front();
 
     for (double a : arrivals_s) {
         ++attempt; // flight key: rejected arrivals consume one too
-        size_t dequeued = static_cast<size_t>(
-            std::upper_bound(starts.begin(), starts.end(), a) -
-            starts.begin());
-        if (starts.size() - dequeued >= opts_.queueDepth) {
+        queue.prune(a);
+        if (queue.full(a, opts_.queueDepth)) {
             collector_.recordRejected();
             uint64_t t_us = toUs(a);
             recordFlightSlo(attempt, 0, obs::FlightClass::Rejected,
@@ -1145,11 +1119,9 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
                             deadline_ms, 0.0);
             continue;
         }
-        size_t r = static_cast<size_t>(
-            std::min_element(free_s.begin(), free_s.end()) -
-            free_s.begin());
-        double start = std::max(a + net_s / 2, free_s[r]);
-        starts.push_back(start);
+        ReplicaQueue::Reservation rv = queue.reserve(a, net_s);
+        size_t r = rv.replica;
+        double start = rv.startS;
         ++seq; // rejected arrivals never consumed a sequence number
         obs::TraceContext ctx =
             tracer ? tracer->admit(seq) : obs::TraceContext{};
@@ -1169,7 +1141,7 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
             continue;
         }
         double done = start + service_s;
-        free_s[r] = done;
+        queue.release(r, done);
         last_done = std::max(last_done, done);
         double latency_ms = (done + net_s / 2 - a) * 1e3;
         latencies.push_back(latency_ms);

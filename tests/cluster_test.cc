@@ -395,6 +395,52 @@ TEST(Cluster, RouteRootedSpanTreesValidate)
     }
 }
 
+TEST(Cluster, IdleHedgeBudgetMatchesNoHedging)
+{
+    // Hedging armed with a budget no attempt misses, on a trace with no
+    // rejects or expiries, never fires: every export but the span trees
+    // is byte-identical to hedging off, and each sampled trace gains
+    // exactly its hedge[0] span.
+    std::vector<ClusterRequest> trace =
+        generateTraffic(smallTraffic(800, 0.3));
+    auto runOnce = [&trace](double hedge_ms, std::vector<std::string> *docs,
+                            size_t *spans, size_t *traces) {
+        obs::SpanTracerOptions so;
+        so.sampleEvery = 3;
+        obs::SpanTracer tracer(so);
+        ClusterOptions co = smallClusterOptions();
+        co.spanTracer = &tracer;
+        co.hedgeMs = hedge_ms;
+        Cluster c(co);
+        addSmallModels(c);
+        ClusterStats s = c.replay(trace);
+        EXPECT_GT(s.completed, 0u);
+        EXPECT_EQ(s.rejected, 0u);
+        EXPECT_EQ(s.expired, 0u);
+        EXPECT_EQ(s.hedged, 0u);
+        docs->push_back(s.toJson().dump());
+        docs->push_back(c.routeJson().dump());
+        docs->push_back(c.sloJson().dump());
+        for (unsigned e = 0; e < c.engineCount(); ++e) {
+            docs->push_back(c.engineFlightJson(e).dump());
+            docs->push_back(c.engineSloJson(e).dump());
+        }
+        *spans = tracer.collect().size();
+        *traces = obs::spanTreeJson(tracer).find("traces")->size();
+    };
+
+    std::vector<std::string> off, idle;
+    size_t off_spans = 0, off_traces = 0, idle_spans = 0, idle_traces = 0;
+    runOnce(-1.0, &off, &off_spans, &off_traces);
+    runOnce(1e6, &idle, &idle_spans, &idle_traces);
+    ASSERT_EQ(off.size(), idle.size());
+    for (size_t i = 0; i < off.size(); ++i)
+        EXPECT_EQ(off[i], idle[i]) << "document " << i;
+    ASSERT_GT(off_traces, 0u);
+    EXPECT_EQ(idle_traces, off_traces);
+    EXPECT_EQ(idle_spans, off_spans + off_traces);
+}
+
 TEST(Cluster, SingleEngineDegeneratesToEngineReplay)
 {
     const double service_ms = 1.1;
@@ -585,7 +631,7 @@ TEST(Cluster, LiveSubmitRoutesAndServes)
     std::vector<std::future<serve::Response>> futs;
     for (int i = 0; i < 30; ++i) {
         Expected<std::future<serve::Response>> f =
-            c.submitTimed(static_cast<uint32_t>(i % 3), 1);
+            c.submit(static_cast<uint32_t>(i % 3), serve::Request::timed(1));
         ASSERT_TRUE(f.ok()) << f.status().toString();
         futs.push_back(std::move(f.value()));
     }
@@ -603,7 +649,7 @@ TEST(Cluster, LiveSubmitRoutesAndServes)
     EXPECT_NE(prom.find("bw_cluster_routed_total"), std::string::npos);
 
     // Unknown model ids are refused before routing.
-    EXPECT_FALSE(c.submitTimed(99, 1).ok());
+    EXPECT_FALSE(c.submit(99, serve::Request::timed(1)).ok());
 }
 
 TEST(Cluster, ExposeDebugServesClusterAndPerEngineDocs)

@@ -503,8 +503,7 @@ TEST(ServeRequest, FactoriesAndShimsAgree)
     EXPECT_EQ(fn.inputs.size(), 3u);
     EXPECT_DOUBLE_EQ(fn.deadlineMs, 9.0);
 
-    // A model-less engine accepts timed Requests and the deprecated
-    // submitTimed shim identically.
+    // A model-less engine accepts timed Requests back to back.
     serve::EngineOptions opts;
     opts.serviceMsOverride = 0.05;
     opts.timeScale = 0.0;
@@ -512,10 +511,10 @@ TEST(ServeRequest, FactoriesAndShimsAgree)
     auto via_request =
         engine.submit(serve::Request::timed(2));
     ASSERT_TRUE(via_request.ok()) << via_request.status().toString();
-    auto via_shim = engine.submitTimed(2);
-    ASSERT_TRUE(via_shim.ok()) << via_shim.status().toString();
+    auto again = engine.submit(serve::Request::timed(2));
+    ASSERT_TRUE(again.ok()) << again.status().toString();
     EXPECT_TRUE(via_request.value().get().status.ok());
-    EXPECT_TRUE(via_shim.value().get().status.ok());
+    EXPECT_TRUE(again.value().get().status.ok());
 
     // Functional inputs on a model-less engine are rejected, as are
     // zero-step timed requests.
@@ -626,9 +625,9 @@ TEST(ClusterFidelity, SubmitRequestShimsAgree)
     auto via_request = c.submit(id, serve::Request::timed(1));
     ASSERT_TRUE(via_request.ok()) << via_request.status().toString();
     EXPECT_TRUE(via_request.value().get().status.ok());
-    auto via_shim = c.submitTimed(id, 1);
-    ASSERT_TRUE(via_shim.ok()) << via_shim.status().toString();
-    EXPECT_TRUE(via_shim.value().get().status.ok());
+    auto again = c.submit(id, serve::Request::timed(1));
+    ASSERT_TRUE(again.ok()) << again.status().toString();
+    EXPECT_TRUE(again.value().get().status.ok());
 
     std::vector<FVec> xs(1, FVec(4, 0.0f));
     auto bad = c.submit(id, serve::Request::functional(xs));

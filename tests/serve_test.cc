@@ -211,7 +211,7 @@ TEST(Engine, FunctionalSubmitMatchesSessionInfer)
     auto expected = session.infer(xs);
 
     auto engine = session.serve({});
-    auto fut = engine->submit(xs);
+    auto fut = engine->submit(serve::Request::functional(xs));
     ASSERT_TRUE(fut.ok()) << fut.status().toString();
     serve::Response r = fut.take().get();
     ASSERT_TRUE(r.status.ok()) << r.status.toString();
@@ -250,7 +250,7 @@ TEST(Engine, ConcurrentSubmitStress)
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([&] {
             for (unsigned i = 0; i < kPerThread; ++i) {
-                auto fut = engine.submitTimed(1);
+                auto fut = engine.submit(serve::Request::timed(1));
                 ASSERT_TRUE(fut.ok()) << fut.status().toString();
                 serve::Response r = fut.take().get();
                 if (r.status.ok())
@@ -288,19 +288,19 @@ TEST(Engine, QueueFullRejectsAtDepth)
     serve::Engine engine(opts);
 
     // First request is dequeued and parks in the service hook...
-    auto gate = engine.submitTimed(1);
+    auto gate = engine.submit(serve::Request::timed(1));
     ASSERT_TRUE(gate.ok());
     while (!in_service)
         std::this_thread::yield();
 
     // ...so the next two fill the queue to its depth...
-    auto q1 = engine.submitTimed(1);
-    auto q2 = engine.submitTimed(1);
+    auto q1 = engine.submit(serve::Request::timed(1));
+    auto q2 = engine.submit(serve::Request::timed(1));
     ASSERT_TRUE(q1.ok());
     ASSERT_TRUE(q2.ok());
 
     // ...and the one after that is rejected without being enqueued.
-    auto rejected = engine.submitTimed(1);
+    auto rejected = engine.submit(serve::Request::timed(1));
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::QueueFull);
     EXPECT_EQ(engine.collector().rejected(), 1u);
@@ -324,9 +324,10 @@ TEST(Engine, DeadlineExpiresOnDequeue)
     opts.serviceMsOverride = 30.0; // real 30ms occupancy per request
     serve::Engine engine(opts);
 
-    auto head = engine.submitTimed(1);
+    auto head = engine.submit(serve::Request::timed(1));
     ASSERT_TRUE(head.ok());
-    auto doomed = engine.submitTimed(1, /*deadline_ms=*/5.0);
+    auto doomed =
+        engine.submit(serve::Request::timed(1, /*deadline_ms=*/5.0));
     ASSERT_TRUE(doomed.ok());
 
     serve::Response r = doomed.take().get();
@@ -347,7 +348,7 @@ TEST(Engine, DrainCompletesEverythingThenRefusesWork)
 
     std::vector<std::future<serve::Response>> futs;
     for (int i = 0; i < 6; ++i) {
-        auto f = engine.submitTimed(1);
+        auto f = engine.submit(serve::Request::timed(1));
         ASSERT_TRUE(f.ok());
         futs.push_back(f.take());
     }
@@ -360,7 +361,7 @@ TEST(Engine, DrainCompletesEverythingThenRefusesWork)
     }
     EXPECT_EQ(engine.collector().completed(), 6u);
 
-    auto late = engine.submitTimed(1);
+    auto late = engine.submit(serve::Request::timed(1));
     ASSERT_FALSE(late.ok());
     EXPECT_EQ(late.status().code(), StatusCode::Unavailable);
 
@@ -375,9 +376,9 @@ TEST(Engine, ShutdownCancelsQueuedRequests)
     opts.serviceMsOverride = 50.0;
     serve::Engine engine(opts);
 
-    auto a = engine.submitTimed(1);
-    auto b = engine.submitTimed(1);
-    auto c = engine.submitTimed(1);
+    auto a = engine.submit(serve::Request::timed(1));
+    auto b = engine.submit(serve::Request::timed(1));
+    auto c = engine.submit(serve::Request::timed(1));
     ASSERT_TRUE(a.ok() && b.ok() && c.ok());
     // Wait for the worker to pull the head request into service.
     while (engine.queueSize() > 2)
@@ -536,7 +537,7 @@ TEST(EngineSpans, FunctionalSubmitRecordsTreeWithChainLeaves)
 
     std::vector<FVec> xs =
         randomInputs(3, session.model().inputDim, rng);
-    auto fut = engine->submit(xs);
+    auto fut = engine->submit(serve::Request::functional(xs));
     ASSERT_TRUE(fut.ok());
     ASSERT_TRUE(fut.take().get().status.ok());
     engine->drain();
@@ -692,7 +693,7 @@ TEST(EngineSpans, LatencyExemplarsCarrySampledTraceIds)
     serve::Engine engine(opts);
     engine.start();
     for (int i = 0; i < 4; ++i) {
-        auto fut = engine.submitTimed(1);
+        auto fut = engine.submit(serve::Request::timed(1));
         ASSERT_TRUE(fut.ok());
         fut.take().get();
     }
