@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the reproduction's own machinery:
- * BFP quantization, functional mv_mul, compilation, and the timing
- * simulator's throughput in simulated timesteps per host second.
+ * BFP quantization, functional mv_mul, compilation, the timing
+ * simulator's throughput in simulated timesteps per host second, and
+ * span-tree recording.
  */
 
 #include <benchmark/benchmark.h>
@@ -148,6 +149,44 @@ BM_AssembleDisassemble(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * m.step.size());
 }
 BENCHMARK(BM_AssembleDisassemble);
+
+void
+BM_SpanTreeRecord(benchmark::State &state)
+{
+    // One sampled cluster request: route root, one hedge over a served
+    // 4-span request tree, and 20 chain leaves — 26 spans, one claim.
+    std::vector<obs::ChainProfile> profiles(20);
+    for (size_t i = 0; i < profiles.size(); ++i) {
+        obs::ChainProfile &p = profiles[i];
+        p.chain = static_cast<uint32_t>(4 * i);
+        p.kind = i % 2 ? 'M' : 'V';
+        p.dispatchStart = 100 * i;
+        p.dispatchDone = p.dispatchStart + 10;
+        p.decodeDone = p.dispatchStart + 20;
+        p.done = p.dispatchStart + 90;
+        p.dataStall = 7;
+    }
+    obs::ChainSpans chains = obs::makeChainSpans(profiles, 2000);
+    obs::SpanTracer tracer;
+    obs::SpanTree tree;
+    tree.routed = true;
+    tree.route.admitUs = 1000;
+    tree.route.doneUs = 4000;
+    tree.hedged = true;
+    obs::SpanAttempt &at = tree.attempt[0];
+    at.request.admitUs = 1000;
+    at.request.dequeueUs = at.request.serviceUs = 1500;
+    at.request.doneUs = 4000;
+    at.chains = &chains;
+    obs::TraceId trace = 0;
+    for (auto _ : state) {
+        tree.trace = ++trace;
+        obs::recordSpanTree(tracer, tree);
+    }
+    benchmark::DoNotOptimize(tracer.recorded());
+    state.SetItemsProcessed(static_cast<int64_t>(tracer.recorded()));
+}
+BENCHMARK(BM_SpanTreeRecord);
 
 } // namespace
 } // namespace bw

@@ -531,20 +531,19 @@ Cluster::warmCaches()
     }
 }
 
-std::vector<EngineLoad>
-Cluster::virtualLoads(double now_s) const
+const std::vector<EngineLoad> &
+Cluster::virtualLoads(double now_s)
 {
-    std::vector<EngineLoad> loads;
-    loads.reserve(shards_.size());
-    for (const auto &s : shards_) {
-        EngineLoad l;
-        l.queued = s->queue.queued(now_s);
-        l.inflight = s->queue.busy(now_s);
-        l.queueCapacity = s->engine->options().queueDepth;
-        l.healthy = s->healthy;
-        loads.push_back(l);
+    loads_.resize(shards_.size());
+    for (size_t i = 0; i < shards_.size(); ++i) {
+        const Shard &s = *shards_[i];
+        EngineLoad &l = loads_[i];
+        l.queued = s.queue.queued(now_s);
+        l.inflight = s.queue.busy(now_s);
+        l.queueCapacity = s.engine->options().queueDepth;
+        l.healthy = s.healthy;
     }
-    return loads;
+    return loads_;
 }
 
 std::vector<EngineLoad>
@@ -1091,10 +1090,6 @@ attemptOutcome(const obs::FlightClass cls)
     }
 }
 
-/// Span-id stride between hedge[0] and hedge[1] subtrees: wide enough
-/// for a request tree (4 spans) plus the chain-span cap (256).
-constexpr obs::SpanId kHedgeIdStride = 512;
-
 } // namespace
 
 void
@@ -1132,7 +1127,7 @@ Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
     bool hedged = false;
     if (wantHedge) {
         double t_h = a + std::max(0.0, opts_.hedgeMs) / 1e3;
-        std::vector<EngineLoad> loads = virtualLoads(t_h);
+        const std::vector<EngineLoad> &loads = virtualLoads(t_h);
         int32_t alt = -1;
         uint64_t best = UINT64_MAX;
         for (size_t e = 0; e < loads.size(); ++e) {
@@ -1260,10 +1255,11 @@ Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
     if (hedged)
         recordAttemptFlight(h, id, ctx.sampled(), req.steps);
 
-    // Span tree: route root -> request tree per attempt. Hedging puts
-    // a hedge[i] span between the two (the winner stamps the root's
-    // outcome/engine; the loser's hedge span shows the cancellation);
-    // an unhedged request hangs its tree off the root directly.
+    // Span tree: route root -> request tree per attempt, one ring
+    // claim. Hedging puts a hedge[i] span between the two (the winner
+    // stamps the root's outcome/engine; the loser's hedge span shows
+    // the cancellation); an unhedged request hangs its tree off the
+    // root directly.
     if (ctx.sampled() && tracer) {
         auto endOf = [&](const Attempt &at) {
             uint64_t d = toUs(at.dispatchS);
@@ -1274,53 +1270,34 @@ Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
         if (hedged)
             root_end = std::max(root_end, endOf(h));
 
-        obs::RouteSpan rs;
-        rs.trace = ctx.trace;
-        rs.admitUs = admit_us;
-        rs.doneUs = root_end;
-        rs.engine = w.shard;
-        rs.model = req.model;
-        rs.outcome = attemptOutcome(w.fcls);
-        obs::SpanId root = obs::recordRouteSpan(*tracer, rs);
-
-        const Attempt *attempts[2] = {&p, hedged ? &h : nullptr};
-        for (uint32_t i = 0; i < 2; ++i) {
-            const Attempt *at = attempts[i];
-            if (!at)
-                continue;
-            uint64_t h_start = std::max(toUs(at->dispatchS), admit_us);
-            uint64_t h_end = std::max(endOf(*at), h_start);
-            obs::SpanId parent = root;
-            if (hedging) {
-                obs::SpanRecord hs;
-                hs.trace = ctx.trace;
-                hs.id = 2 + i * kHedgeIdStride;
-                hs.parent = root;
-                hs.kind = obs::SpanKind::Hedge;
-                hs.outcome = attemptOutcome(at->fcls);
-                hs.index = i;           // hedge ordinal: "hedge[i]"
-                hs.chainId = at->shard; // the engine this attempt hit
-                hs.startUs = h_start;
-                hs.endUs = h_end;
-                tracer->record(hs);
-                parent = hs.id;
-            }
-
-            obs::RequestSpans qs;
-            qs.trace = ctx.trace;
-            qs.admitUs = h_start;
+        obs::SpanTree tree;
+        tree.trace = ctx.trace;
+        tree.routed = true;
+        tree.route.admitUs = admit_us;
+        tree.route.doneUs = root_end;
+        tree.route.engine = w.shard;
+        tree.route.model = req.model;
+        tree.route.outcome = attemptOutcome(w.fcls);
+        tree.hedged = hedging;
+        tree.attempts = hedged ? 2 : 1;
+        const Attempt *attempts[2] = {&p, &h};
+        for (uint32_t i = 0; i < tree.attempts; ++i) {
+            const Attempt &at = *attempts[i];
+            obs::SpanAttempt &sa = tree.attempt[i];
+            obs::RequestSpans &qs = sa.request;
+            qs.admitUs = std::max(toUs(at.dispatchS), admit_us);
             qs.dequeueUs = qs.serviceUs =
-                std::max(toUs(at->startS), h_start);
-            qs.doneUs = h_end;
-            qs.replica = static_cast<uint32_t>(at->slot.replica);
-            qs.outcome = attemptOutcome(at->fcls);
-            obs::SpanId exec =
-                obs::recordRequestTree(*tracer, qs, parent);
-            if (exec && at->fcls == obs::FlightClass::Ok)
-                stitchChainSpans(*tracer, ctx.trace, exec, req.model,
-                                 shards_[at->shard]->group, req.steps,
-                                 qs.serviceUs, qs.doneUs);
+                std::max(toUs(at.startS), qs.admitUs);
+            qs.doneUs = std::max(endOf(at), qs.admitUs);
+            qs.replica = static_cast<uint32_t>(at.slot.replica);
+            qs.outcome = attemptOutcome(at.fcls);
+            sa.engine = at.shard;
+            if (at.fcls == obs::FlightClass::Ok)
+                sa.chains = chainSpans(req.model,
+                                       shards_[at.shard]->group,
+                                       req.steps);
         }
+        obs::recordSpanTree(*tracer, tree);
     }
 }
 
@@ -1402,7 +1379,7 @@ Cluster::replayFinish(ReplayPass &rp)
     return cs;
 }
 
-// --- Fidelity audit + span stitching ---
+// --- Fidelity audit + chain-span templates ---
 
 double
 Cluster::exactServiceMs(uint32_t model, size_t group, unsigned steps)
@@ -1437,32 +1414,23 @@ Cluster::auditCheck(uint64_t seq, uint32_t model, size_t group,
     }
 }
 
-void
-Cluster::stitchChainSpans(obs::SpanTracer &tracer, obs::TraceId trace,
-                          obs::SpanId execute, uint32_t model,
-                          size_t group, unsigned steps,
-                          uint64_t service_us, uint64_t done_us)
+const obs::ChainSpans *
+Cluster::chainSpans(uint32_t model, size_t group, unsigned steps)
 {
     ModelEntry &e = models_[model];
     if (e.timed)
-        return; // flat-time models have no chain profiles
+        return nullptr; // flat-time models have no chain profiles
     uint64_t key = svcKey(model, group, steps);
     auto it = chainCache_.find(key);
     if (it == chainCache_.end()) {
-        auto chains =
-            std::make_shared<std::vector<obs::ChainProfile>>();
+        std::vector<obs::ChainProfile> chains;
         timing::TimingResult tr = e.sessions[group]->timeProfiled(
-            steps, chains.get(), opts_.fidelity);
-        ChainInfo ci;
-        ci.totalCycles = tr.totalCycles;
-        ci.chains = std::move(chains);
-        it = chainCache_.emplace(key, std::move(ci)).first;
+            steps, &chains, opts_.fidelity);
+        it = chainCache_
+                 .emplace(key, obs::makeChainSpans(chains, tr.totalCycles))
+                 .first;
     }
-    const ChainInfo &ci = it->second;
-    if (!ci.chains || ci.chains->empty())
-        return;
-    obs::recordChainSpans(tracer, trace, execute, service_us, done_us,
-                          *ci.chains, ci.totalCycles);
+    return &it->second;
 }
 
 Json

@@ -523,7 +523,9 @@ class Cluster
         metrics::Counter *reloadUs = nullptr;
     };
 
-    std::vector<EngineLoad> virtualLoads(double now_s) const;
+    /** Every shard's virtual-time load at @p now_s, filled into the
+     *  reused loads_ buffer (valid until the next call). */
+    const std::vector<EngineLoad> &virtualLoads(double now_s);
     std::vector<EngineLoad> liveLoads() const;
     void warmCaches();
     void bindClusterMetrics();
@@ -623,13 +625,11 @@ class Cluster
      *  completions). */
     void auditCheck(uint64_t seq, uint32_t model, size_t group,
                     unsigned steps, double fast_ms);
-    /** Attach chain leaf spans under @p execute from the compiled
-     *  model's retired-chain profiles (cached per (model, group,
-     *  steps)). */
-    void stitchChainSpans(obs::SpanTracer &tracer, obs::TraceId trace,
-                          obs::SpanId execute, uint32_t model,
-                          size_t group, unsigned steps,
-                          uint64_t service_us, uint64_t done_us);
+    /** Chain-span templates of the compiled model's retired-chain
+     *  profiles (built once per (model, group, steps)); nullptr for
+     *  flat-time models. */
+    const obs::ChainSpans *chainSpans(uint32_t model, size_t group,
+                                      unsigned steps);
 
     ClusterOptions opts_;
     std::unique_ptr<Router> router_;
@@ -649,14 +649,10 @@ class Cluster
     /** (model, group, steps) -> cycle-accurate ms (audit reference). */
     std::unordered_map<uint64_t, double> exactCache_;
 
-    /** Cached retired-chain profiles for span stitching. */
-    struct ChainInfo
-    {
-        Cycles totalCycles = 0;
-        std::shared_ptr<const std::vector<obs::ChainProfile>> chains;
-    };
-    /** (model, group, steps) -> chain profiles. */
-    std::unordered_map<uint64_t, ChainInfo> chainCache_;
+    /** (model, group, steps) -> chain-span templates. */
+    std::unordered_map<uint64_t, obs::ChainSpans> chainCache_;
+    /** virtualLoads() output, reused across calls. */
+    std::vector<EngineLoad> loads_;
 
     /** The fleet federation plane (cluster registry + every shard). */
     obs::FleetRegistry fleet_;

@@ -620,7 +620,7 @@ validateSpanStreamJson(std::istream &in)
 
 Status
 streamFlightNdjson(const FlightRecorder &recorder, const StreamSink &sink,
-                   const ChainProfileFn &chains_for)
+                   const ChainSpansFn &chains_for)
 {
     if (!sink)
         return Status::invalidArgument("flight stream: null sink");

@@ -221,7 +221,7 @@ Status validateSpanStreamJson(std::istream &in);
  */
 Status streamFlightNdjson(const FlightRecorder &recorder,
                           const StreamSink &sink,
-                          const ChainProfileFn &chains_for = {});
+                          const ChainSpansFn &chains_for = {});
 
 /** Line-by-line validator for a bw.flightstream/1 stream. */
 Status validateFlightStreamJson(std::istream &in);

@@ -176,7 +176,7 @@ promoteFlightRecords(std::vector<FlightRecord> records,
 Json
 flightJson(const std::vector<FlightRecord> &promoted,
            const FlightRecorderOptions &opts, uint64_t recorded,
-           uint64_t dropped, const ChainProfileFn &chains_for)
+           uint64_t dropped, const ChainSpansFn &chains_for)
 {
     Json doc = Json::object();
     doc.set("schema", kSchema);
@@ -213,34 +213,32 @@ flightJson(const std::vector<FlightRecord> &promoted,
         std::max<size_t>(1, promoted.size() * (4 + sopts.maxChainSpans));
     SpanTracer scratch(sopts);
     for (const FlightRecord &r : promoted) {
-        RequestSpans rs;
-        rs.trace = r.seq;
+        SpanTree tree;
+        tree.trace = r.seq;
+        RequestSpans &rs = tree.attempt[0].request;
         rs.admitUs = r.admitUs;
         rs.dequeueUs = r.dequeueUs;
         rs.serviceUs = r.serviceUs;
         rs.doneUs = r.doneUs;
         rs.replica = r.replica;
         rs.outcome = flightClassOutcome(r.cls);
-        const std::vector<ChainProfile> *chains = nullptr;
-        Cycles total = 0;
         bool served = r.cls == FlightClass::Ok ||
                       r.cls == FlightClass::Error;
-        if (served && chains_for &&
-            chains_for(r.steps, &chains, &total) && chains) {
-            rs.chainCount = static_cast<uint32_t>(chains->size());
+        if (served && chains_for) {
+            if (const ChainSpans *cs = chains_for(r.steps)) {
+                rs.chainCount =
+                    static_cast<uint32_t>(cs->templates.size());
+                tree.attempt[0].chains = cs;
+            }
         }
-        SpanId exec = recordRequestTree(scratch, rs);
-        if (exec != 0 && chains && !chains->empty()) {
-            recordChainSpans(scratch, rs.trace, exec, r.serviceUs,
-                             r.doneUs, *chains, total);
-        }
+        recordSpanTree(scratch, tree);
     }
     doc.set("spans", spanTreeJson(scratch.collect(), 0));
     return doc;
 }
 
 Json
-flightJson(const FlightRecorder &recorder, const ChainProfileFn &chains_for)
+flightJson(const FlightRecorder &recorder, const ChainSpansFn &chains_for)
 {
     return flightJson(recorder.promoted(), recorder.options(),
                       recorder.recorded(), recorder.dropped(),

@@ -167,15 +167,12 @@ std::vector<FlightRecord> promoteFlightRecords(
     std::vector<FlightRecord> records, const FlightRecorderOptions &opts);
 
 /**
- * Supplies retired-chain profiles for a promoted record's span tree:
- * given the record's step count, returns the profiles and total cycles,
- * or false when none are available (model-less engines, rejected
- * requests). The serving engine binds this to its per-step-count
- * timing-profile cache.
+ * Supplies the chain-span templates for a promoted record's span tree:
+ * given the record's step count, returns them, or nullptr when none are
+ * available (model-less engines, rejected requests). The serving
+ * engine binds this to its per-step-count timing-profile cache.
  */
-using ChainProfileFn = std::function<bool(
-    uint32_t steps, const std::vector<ChainProfile> **chains,
-    Cycles *total_cycles)>;
+using ChainSpansFn = std::function<const ChainSpans *(uint32_t steps)>;
 
 /**
  * Flight-log export, schema bw.flight/1:
@@ -193,11 +190,11 @@ using ChainProfileFn = std::function<bool(
  */
 Json flightJson(const std::vector<FlightRecord> &promoted,
                 const FlightRecorderOptions &opts, uint64_t recorded,
-                uint64_t dropped, const ChainProfileFn &chains_for = {});
+                uint64_t dropped, const ChainSpansFn &chains_for = {});
 
 /** flightJson(recorder.promoted(), recorder.options(), ...). */
 Json flightJson(const FlightRecorder &recorder,
-                const ChainProfileFn &chains_for = {});
+                const ChainSpansFn &chains_for = {});
 
 /**
  * Validate a flightJson() document: schema tag, required integer

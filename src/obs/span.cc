@@ -115,116 +115,23 @@ SpanTracer::clear()
     ring_.clear();
 }
 
-// --- Canonical request tree ---
+// --- Span-tree writer ---
 
-SpanId
-recordRequestTree(SpanTracer &tracer, const RequestSpans &rs,
-                  SpanId parent)
+ChainSpans
+makeChainSpans(const std::vector<ChainProfile> &chains, Cycles total_cycles)
 {
-    if (rs.trace == 0)
-        return 0;
-    SpanRecord r;
-    r.trace = rs.trace;
-    r.id = parent + 1;
-    r.parent = parent;
-    r.kind = SpanKind::Request;
-    r.outcome = rs.outcome;
-    r.startUs = rs.admitUs;
-    r.endUs = rs.doneUs;
-    tracer.record(r);
-
-    SpanRecord q;
-    q.trace = rs.trace;
-    q.id = parent + 2;
-    q.parent = r.id;
-    q.kind = SpanKind::QueueWait;
-    q.startUs = rs.admitUs;
-    q.endUs = rs.dequeueUs;
-    tracer.record(q);
-
-    // Errored requests consumed service; only never-served outcomes
-    // (expired in queue, rejected, cancelled) stop at queue_wait.
-    if (rs.outcome != SpanOutcome::Ok && rs.outcome != SpanOutcome::Error)
-        return 0; // never reached service: queue_wait is the story
-
-    SpanRecord d;
-    d.trace = rs.trace;
-    d.id = parent + 3;
-    d.parent = r.id;
-    d.kind = SpanKind::Dispatch;
-    d.startUs = rs.dequeueUs;
-    d.endUs = rs.serviceUs;
-    tracer.record(d);
-
-    SpanRecord e;
-    e.trace = rs.trace;
-    e.id = parent + 4;
-    e.parent = r.id;
-    e.kind = SpanKind::Execute;
-    e.index = rs.replica;
-    e.chainCount = rs.chainCount;
-    e.startUs = rs.serviceUs;
-    e.endUs = rs.doneUs;
-    tracer.record(e);
-    return e.id;
-}
-
-SpanId
-recordRouteSpan(SpanTracer &tracer, const RouteSpan &rs)
-{
-    if (rs.trace == 0)
-        return 0;
-    SpanRecord r;
-    r.trace = rs.trace;
-    r.id = 1;
-    r.parent = 0;
-    r.kind = SpanKind::Route;
-    r.outcome = rs.outcome;
-    r.index = rs.engine;
-    r.chainId = rs.model;
-    r.startUs = rs.admitUs;
-    r.endUs = rs.doneUs;
-    tracer.record(r);
-    return r.id;
-}
-
-void
-recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
-                 uint64_t service_us, uint64_t done_us,
-                 const std::vector<ChainProfile> &chains,
-                 Cycles total_cycles)
-{
-    if (trace == 0 || execute == 0 || chains.empty())
-        return;
-    uint64_t window = done_us > service_us ? done_us - service_us : 0;
-    auto map_cycle = [&](Cycles c) -> uint64_t {
-        if (total_cycles == 0 || window == 0)
-            return service_us;
-        c = std::min(c, total_cycles);
-        // 128-bit intermediate: cycles * window can pass 2^64, and the
-        // deterministic-replay exports must not round differently per
-        // platform, so no floating point here.
-        return service_us +
-               static_cast<uint64_t>(
-                   static_cast<unsigned __int128>(c) * window /
-                   total_cycles);
-    };
-    size_t take =
-        std::min<size_t>(chains.size(), tracer.options().maxChainSpans);
-    for (size_t i = 0; i < take; ++i) {
+    ChainSpans cs;
+    cs.totalCycles = total_cycles;
+    cs.templates.reserve(chains.size());
+    for (size_t i = 0; i < chains.size(); ++i) {
         const ChainProfile &p = chains[i];
-        SpanRecord s;
-        s.trace = trace;
-        s.id = static_cast<SpanId>(execute + 1 + i);
-        s.parent = execute;
+        SpanRecord &s = cs.templates.emplace_back();
         s.kind = SpanKind::Chain;
         s.chainKind = p.kind;
         s.index = static_cast<uint32_t>(i);
         s.chainId = p.chain;
         s.startCycle = p.dispatchStart;
         s.endCycle = p.done;
-        s.startUs = map_cycle(p.dispatchStart);
-        s.endUs = std::max(map_cycle(p.done), s.startUs);
         s.dispatchCycles = p.dispatchDone > p.dispatchStart
                                ? p.dispatchDone - p.dispatchStart
                                : 0;
@@ -237,8 +144,184 @@ recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
         Cycles tail = p.done > p.decodeDone ? p.done - p.decodeDone : 0;
         Cycles stalls = p.dataStall + p.inputStall + p.structStall;
         s.computeCycles = tail > stalls ? tail - stalls : 0;
-        tracer.record(s);
     }
+    return cs;
+}
+
+namespace {
+
+/// Chain cycle @p c mapped proportionally into [service_us, done_us].
+/// A 64-bit product when c * window fits, a 128-bit one otherwise: the
+/// same integer either way, so exports never depend on the path.
+uint64_t
+chainCycleUs(Cycles c, Cycles total_cycles, uint64_t service_us,
+             uint64_t done_us)
+{
+    uint64_t window = done_us > service_us ? done_us - service_us : 0;
+    if (total_cycles == 0 || window == 0)
+        return service_us;
+    c = std::min(c, total_cycles);
+    uint64_t product = 0;
+    if (!__builtin_mul_overflow(c, window, &product))
+        return service_us + product / total_cycles;
+    return service_us +
+           static_cast<uint64_t>(static_cast<unsigned __int128>(c) *
+                                 window / total_cycles);
+}
+
+/// Span-id stride between the hedge[0] and hedge[1] subtrees: room for
+/// the hedge span, its request tree (4) and every chain leaf.
+SpanId
+hedgeSpanStride(unsigned max_chain_spans)
+{
+    return std::max<SpanId>(512, 5 + max_chain_spans);
+}
+
+bool
+served(SpanOutcome o)
+{
+    // Errored requests consumed service; only never-served outcomes
+    // (expired in queue, rejected, cancelled) stop at queue_wait.
+    return o == SpanOutcome::Ok || o == SpanOutcome::Error;
+}
+
+/** Chain leaves an attempt writes (see SpanAttempt::chains). */
+size_t
+leafCount(const SpanAttempt &at, unsigned max_chain_spans)
+{
+    if (!served(at.request.outcome) || !at.chains)
+        return 0;
+    return std::min<size_t>(at.chains->templates.size(), max_chain_spans);
+}
+
+SpanRecord &
+stamp(SpanTracer::Claim &claim, TraceId trace, SpanId id, SpanId parent,
+      SpanKind kind, uint64_t start_us, uint64_t end_us)
+{
+    SpanRecord &r = claim.next();
+    r = SpanRecord{};
+    r.trace = trace;
+    r.id = id;
+    r.parent = parent;
+    r.kind = kind;
+    r.startUs = start_us;
+    r.endUs = end_us;
+    return r;
+}
+
+/** Request tree at ids parent+1..; returns the execute id (0: none). */
+SpanId
+writeRequestTree(SpanTracer::Claim &claim, TraceId trace,
+                 const RequestSpans &rs, SpanId parent)
+{
+    SpanId req = parent + 1;
+    SpanRecord &r = stamp(claim, trace, req, parent, SpanKind::Request,
+                          rs.admitUs, rs.doneUs);
+    r.outcome = rs.outcome;
+    stamp(claim, trace, parent + 2, req, SpanKind::QueueWait, rs.admitUs,
+          rs.dequeueUs);
+    if (!served(rs.outcome))
+        return 0; // never reached service: queue_wait is the story
+    stamp(claim, trace, parent + 3, req, SpanKind::Dispatch, rs.dequeueUs,
+          rs.serviceUs);
+    SpanRecord &e = stamp(claim, trace, parent + 4, req, SpanKind::Execute,
+                          rs.serviceUs, rs.doneUs);
+    e.index = rs.replica;
+    e.chainCount = rs.chainCount;
+    return e.id;
+}
+
+void
+writeChainLeaves(SpanTracer::Claim &claim, TraceId trace, SpanId execute,
+                 uint64_t service_us, uint64_t done_us,
+                 const ChainSpans &cs, size_t take)
+{
+    for (size_t i = 0; i < take; ++i) {
+        SpanRecord &s = claim.next();
+        s = cs.templates[i];
+        s.trace = trace;
+        s.id = static_cast<SpanId>(execute + 1 + i);
+        s.parent = execute;
+        s.startUs =
+            chainCycleUs(s.startCycle, cs.totalCycles, service_us, done_us);
+        s.endUs = std::max(
+            chainCycleUs(s.endCycle, cs.totalCycles, service_us, done_us),
+            s.startUs);
+    }
+}
+
+} // namespace
+
+void
+recordSpanTree(SpanTracer &tracer, const SpanTree &tree)
+{
+    if (tree.trace == 0)
+        return;
+    unsigned cap = tracer.options().maxChainSpans;
+    size_t leaves[2] = {};
+    size_t n = tree.routed ? 1 : 0;
+    for (unsigned i = 0; i < tree.attempts; ++i) {
+        const SpanAttempt &at = tree.attempt[i];
+        leaves[i] = leafCount(at, cap);
+        n += (tree.hedged ? 1 : 0) + (served(at.request.outcome) ? 4 : 2) +
+             leaves[i];
+    }
+
+    SpanTracer::Claim claim = tracer.claim(n);
+    SpanId root = 0;
+    if (tree.routed) {
+        root = 1;
+        const RouteSpan &rs = tree.route;
+        SpanRecord &r = stamp(claim, tree.trace, root, 0, SpanKind::Route,
+                              rs.admitUs, rs.doneUs);
+        r.outcome = rs.outcome;
+        r.index = rs.engine;
+        r.chainId = rs.model;
+    }
+    SpanId stride = tree.hedged ? hedgeSpanStride(cap) : 0;
+    for (unsigned i = 0; i < tree.attempts; ++i) {
+        const SpanAttempt &at = tree.attempt[i];
+        const RequestSpans &rq = at.request;
+        SpanId parent = root;
+        if (tree.hedged) {
+            parent = 2 + i * stride;
+            SpanRecord &h = stamp(claim, tree.trace, parent, root,
+                                  SpanKind::Hedge, rq.admitUs, rq.doneUs);
+            h.outcome = rq.outcome;
+            h.index = i;           // hedge ordinal: "hedge[i]"
+            h.chainId = at.engine; // the engine this attempt hit
+        }
+        SpanId exec = writeRequestTree(claim, tree.trace, rq, parent);
+        if (leaves[i] > 0)
+            writeChainLeaves(claim, tree.trace, exec, rq.serviceUs,
+                             rq.doneUs, *at.chains, leaves[i]);
+    }
+}
+
+SpanId
+recordRequestTree(SpanTracer &tracer, const RequestSpans &rs)
+{
+    if (rs.trace == 0)
+        return 0;
+    SpanTracer::Claim claim = tracer.claim(served(rs.outcome) ? 4 : 2);
+    return writeRequestTree(claim, rs.trace, rs, 0);
+}
+
+void
+recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
+                 uint64_t service_us, uint64_t done_us,
+                 const std::vector<ChainProfile> &chains,
+                 Cycles total_cycles)
+{
+    if (trace == 0 || execute == 0 || chains.empty())
+        return;
+    ChainSpans cs = makeChainSpans(chains, total_cycles);
+    size_t take = std::min<size_t>(cs.templates.size(),
+                                   tracer.options().maxChainSpans);
+    if (take == 0)
+        return;
+    SpanTracer::Claim claim = tracer.claim(take);
+    writeChainLeaves(claim, trace, execute, service_us, done_us, cs, take);
 }
 
 // --- Span-tree JSON export ---

@@ -25,11 +25,12 @@
  * pure function of the deterministic request sequence number, so
  * virtual-time replays reproduce byte-identical exports.
  *
- * Recording is wait-free on the hot path: spans land in per-thread ring
- * buffers (the same sharding discipline as the metrics registry) that
- * are merged and sorted at export time. Like the engine's event trace,
- * collect()/exports are safe once the producers have quiesced (engine
- * drained or shut down).
+ * Recording is wait-free on the hot path: a request's whole tree is one
+ * claim on a per-thread ring buffer (the same sharding discipline as
+ * the metrics registry), written in place by recordSpanTree(), and the
+ * rings are merged and sorted at export time. Like the engine's event
+ * trace, collect()/exports are safe once the producers have quiesced
+ * (engine drained or shut down).
  *
  * Three exports: Chrome/Perfetto async ("ph":"b"/"e") events that
  * overlay the event-trace timeline, ordered JSON span trees (validated
@@ -152,16 +153,24 @@ struct SpanTracerOptions
 };
 
 /**
- * Wait-free span recorder. record() claims a slot in the calling
- * thread's ring shard (obs/ring.h) with one relaxed fetch_add and writes
- * the POD record in place — no locks, engine workers never contend. A
- * shard's ring is allocated on the first record into it; after that,
- * recording never allocates. collect() merges the shards; call it only after producers
- * have quiesced (the same read discipline as Engine::trace()).
+ * Wait-free span recorder over a per-thread ring shard (obs/ring.h).
+ * claim(n) reserves n consecutive slots with one relaxed fetch_add and
+ * the caller writes each SpanRecord in place; record() is claim(1). A
+ * sampled request's whole span tree is one claim (recordSpanTree), so
+ * the tree sits contiguous within its shard and lands in the same
+ * slots, in the same order, as span-by-span recording would put it.
+ * The hot path is one thread-slot lookup, one acquire load of the
+ * shard's published ring and the fetch_add — no call_once, no locks,
+ * and engine workers never contend. A shard's ring is allocated on the
+ * first claim into it; after that, recording never allocates.
+ * collect() merges the shards; call it only after producers have
+ * quiesced (the same read discipline as Engine::trace()).
  */
 class SpanTracer
 {
   public:
+    using Claim = ShardedRing<SpanRecord>::Claim;
+
     explicit SpanTracer(SpanTracerOptions opts = {});
 
     const SpanTracerOptions &options() const { return opts_; }
@@ -173,14 +182,17 @@ class SpanTracer
      */
     TraceContext admit(uint64_t seq) const;
 
-    /** Record one span (wait-free once the shard is sized; see class
-     *  comment). */
+    /** Reserve the calling thread's next @p n span slots; write each
+     *  record whole through Claim::next() (see class comment). */
+    Claim claim(size_t n) { return ring_.claim(n); }
+
+    /** Record one span: claim(1). */
     void record(const SpanRecord &s);
 
     /** Merged spans, sorted by (trace, id). Safe after quiescence. */
     std::vector<SpanRecord> collect() const;
 
-    /** Total spans offered to record() (including overwritten). */
+    /** Total spans offered (including overwritten). */
     uint64_t recorded() const;
     /** Spans lost to ring overwrite. */
     uint64_t dropped() const;
@@ -216,28 +228,29 @@ struct RequestSpans
 };
 
 /**
- * Record the canonical request tree. An Ok request records request +
- * queue_wait + dispatch + execute; an expired/cancelled request records
- * request + queue_wait only (it never reached service). Returns the
- * execute span id (0 when no execute span was recorded) for
- * recordChainSpans().
- *
- * @p parent nests the whole tree under an already recorded span (the
- * cluster front door's route span): span ids shift by @p parent and the
- * request span's parent becomes @p parent instead of being the root.
+ * The request-invariant part of the chain[i] leaf spans of one timing
+ * profile: one template per ChainProfile carrying kind, chainKind,
+ * index, chainId, the cycle interval and the stall breakdown. Built
+ * once per cached profile (makeChainSpans); recording a leaf copies its
+ * template and stamps only trace, id, parent and the microsecond
+ * interval.
  */
-SpanId recordRequestTree(SpanTracer &tracer, const RequestSpans &rs,
-                         SpanId parent = 0);
+struct ChainSpans
+{
+    Cycles totalCycles = 0;
+    std::vector<SpanRecord> templates;
+};
+
+ChainSpans makeChainSpans(const std::vector<ChainProfile> &chains,
+                          Cycles total_cycles);
 
 /**
- * One cluster routing decision wrapped around a request: the span
+ * The cluster front door's routing decision, root of a routed tree:
  * covers [admitUs, doneUs] and carries the chosen engine and the
- * resident-model id. Recorded as the trace root (id 1, parentless) —
- * nest the request tree under it via recordRequestTree(..., parent).
+ * resident-model id.
  */
 struct RouteSpan
 {
-    TraceId trace = 0;
     uint64_t admitUs = 0;
     uint64_t doneUs = 0;
     uint32_t engine = 0; //!< target engine index within the cluster
@@ -245,15 +258,62 @@ struct RouteSpan
     SpanOutcome outcome = SpanOutcome::Ok;
 };
 
-/** Record a route root span; returns its id (0 when unsampled). */
-SpanId recordRouteSpan(SpanTracer &tracer, const RouteSpan &rs);
+/** One request tree of a SpanTree. */
+struct SpanAttempt
+{
+    RequestSpans request; //!< request.trace is unused (SpanTree::trace)
+    /** Leaves under the execute span (nullptr or empty: none); written
+     *  only when the execute span is (served outcomes). */
+    const ChainSpans *chains = nullptr;
+    uint32_t engine = 0; //!< hedge[i] span: the engine this attempt hit
+};
+
+/**
+ * A sampled request's whole span tree. Unrouted (engine replay, flight
+ * export): one attempt whose request span is the root, ids 1..4, chain
+ * leaves from 5. Routed (cluster front door): a route root (id 1) over
+ * one or two attempts; with @c hedged each attempt sits under a
+ * hedge[i] span with id 2 + i * max(512, 5 + maxChainSpans) — room for
+ * hedge[0], its request tree and every chain leaf — otherwise the
+ * single request tree hangs off the root directly (ids from 2).
+ */
+struct SpanTree
+{
+    TraceId trace = 0; //!< 0 = unsampled: records nothing
+    bool routed = false;
+    RouteSpan route; //!< the root when @c routed
+    bool hedged = false;
+    unsigned attempts = 1; //!< 1 or 2 (2 only when hedged)
+    SpanAttempt attempt[2];
+};
+
+/**
+ * The tree writer: count the tree's spans, claim them from the ring
+ * once, and write every SpanRecord in place — route, then per attempt
+ * its hedge span, request tree (request + queue_wait, plus dispatch +
+ * execute when served) and chain leaves (capped at the tracer's
+ * maxChainSpans). Nothing is recorded for an unsampled tree.
+ */
+void recordSpanTree(SpanTracer &tracer, const SpanTree &tree);
+
+/**
+ * Record the canonical request tree (an unrouted SpanTree without
+ * chain leaves). An Ok or Error request records request + queue_wait +
+ * dispatch + execute; an expired/cancelled/rejected request records
+ * request + queue_wait only (it never reached service). Returns the
+ * execute span id (0 when no execute span was recorded) for
+ * recordChainSpans().
+ */
+SpanId recordRequestTree(SpanTracer &tracer, const RequestSpans &rs);
 
 /**
  * Attach chain leaf spans under execute span @p execute of @p trace,
- * one per ChainProfile (capped at the tracer's maxChainSpans). Chain
- * cycle intervals are mapped proportionally into the execute span's
- * [serviceUs, doneUs] window; the cycle-exact interval and the stall
- * breakdown ride along as attributes.
+ * one per ChainProfile (capped at the tracer's maxChainSpans), as one
+ * claim. Chain cycle intervals are mapped proportionally into the
+ * execute span's [service_us, done_us] window, integer-exact (no
+ * floating point, so exports never round differently per platform);
+ * the cycle-exact interval and the stall breakdown ride along as
+ * attributes.
  */
 void recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
                       uint64_t service_us, uint64_t done_us,

@@ -929,22 +929,16 @@ Engine::debugFlightJson() const
     return j;
 }
 
-obs::ChainProfileFn
-Engine::chainProfileFn()
+obs::ChainSpansFn
+Engine::chainSpansFn()
 {
     if (!model_ || opts_.serviceMsOverride > 0)
         return {};
-    return [this](uint32_t steps,
-                  const std::vector<obs::ChainProfile> **chains,
-                  Cycles *total_cycles) {
+    return [this](uint32_t steps) -> const obs::ChainSpans * {
         if (steps == 0)
-            return false;
+            return nullptr;
         const ServiceProfile &prof = serviceProfileFor(steps);
-        if (!prof.chains || prof.chains->empty())
-            return false;
-        *chains = prof.chains.get();
-        *total_cycles = prof.totalCycles;
-        return true;
+        return prof.chains.templates.empty() ? nullptr : &prof.chains;
     };
 }
 
@@ -956,7 +950,7 @@ Engine::flightJson()
             "no flight recorder attached "
             "(EngineOptions::flightRecorder)");
     }
-    return obs::flightJson(*opts_.flightRecorder, chainProfileFn());
+    return obs::flightJson(*opts_.flightRecorder, chainSpansFn());
 }
 
 void
@@ -1016,20 +1010,20 @@ Engine::serviceProfileFor(unsigned steps)
         timingModel_->setTileBeats(model_->tileBeats);
     }
     ServiceProfile prof;
-    // Both consumers of chain profiles — live span trees and the
-    // flight export's reconstructed leaves — need the profiled run
+    // Both consumers of chain spans — live span trees and the flight
+    // export's reconstructed leaves — need the profiled run
     // (cycle-identical to run(), tested).
     if (opts_.spanTracer || opts_.flightRecorder) {
         auto pr = timingModel_->runShared(model_->prologue, model_->step,
                                           steps);
         prof.ms = pr.result.latencyMs(model_->cfg);
-        prof.totalCycles = pr.result.totalCycles;
-        prof.chains = std::move(pr.chains);
+        if (pr.chains)
+            prof.chains =
+                obs::makeChainSpans(*pr.chains, pr.result.totalCycles);
     } else {
         auto res = timingModel_->run(model_->prologue, model_->step,
                                      steps);
         prof.ms = res.latencyMs(model_->cfg);
-        prof.totalCycles = res.totalCycles;
     }
     return serviceCache_.emplace(steps, std::move(prof)).first->second;
 }
@@ -1043,26 +1037,23 @@ Engine::recordSpans(const obs::TraceContext &ctx, unsigned steps,
     obs::SpanTracer *tracer = opts_.spanTracer;
     if (!tracer || !ctx.sampled())
         return;
-    obs::RequestSpans rs;
-    rs.trace = ctx.trace;
+    obs::SpanTree tree;
+    tree.trace = ctx.trace;
+    obs::RequestSpans &rs = tree.attempt[0].request;
     rs.admitUs = admit_us;
     rs.dequeueUs = dequeue_us;
     rs.serviceUs = service_us;
     rs.doneUs = done_us;
     rs.replica = replica;
     rs.outcome = outcome;
-    const ServiceProfile *prof = nullptr;
     if (outcome == obs::SpanOutcome::Ok && model_ &&
         opts_.serviceMsOverride <= 0) {
-        prof = &serviceProfileFor(steps);
-        if (prof->chains)
-            rs.chainCount = static_cast<uint32_t>(prof->chains->size());
+        const ServiceProfile &prof = serviceProfileFor(steps);
+        rs.chainCount =
+            static_cast<uint32_t>(prof.chains.templates.size());
+        tree.attempt[0].chains = &prof.chains;
     }
-    obs::SpanId exec = obs::recordRequestTree(*tracer, rs);
-    if (exec != 0 && prof && prof->chains && !prof->chains->empty()) {
-        obs::recordChainSpans(*tracer, rs.trace, exec, service_us,
-                              done_us, *prof->chains, prof->totalCycles);
-    }
+    obs::recordSpanTree(*tracer, tree);
 }
 
 // --- Deterministic virtual-time replay ---

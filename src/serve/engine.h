@@ -549,16 +549,16 @@ class Engine
     std::vector<std::thread> workers_;
 
     /** Cached timing-simulator output for one step count: the service
-     *  milliseconds plus (when a span tracer is attached) the retired-
-     *  chain profiles that become chain[i] leaf spans. */
+     *  milliseconds plus (when a span tracer or flight recorder is
+     *  attached) the chain-span templates of the retired-chain
+     *  profiles, the chain[i] leaf spans minus the request. */
     struct ServiceProfile
     {
         double ms = 0;
-        Cycles totalCycles = 0;
-        std::shared_ptr<const std::vector<obs::ChainProfile>> chains;
+        obs::ChainSpans chains;
     };
 
-    /** serviceMsFor() plus the chain profiles (cached per step count). */
+    /** serviceMsFor() plus the chain spans (cached per step count). */
     const ServiceProfile &serviceProfileFor(unsigned steps);
 
     /** Record the span tree of one sampled request (threaded and
@@ -585,7 +585,7 @@ class Engine
 
     /** Binds the flight export's chain-leaf reconstruction to the
      *  engine's per-step-count timing-profile cache. */
-    obs::ChainProfileFn chainProfileFn();
+    obs::ChainSpansFn chainSpansFn();
 
     std::mutex serviceMsMu_;
     /** Thin per-step-count front over the timing model: keeps the

@@ -461,6 +461,54 @@ TEST(Cluster, HedgedSpansHaveExactlyOneWinner)
     EXPECT_GT(hedged_traces, 0u);
 }
 
+TEST(Cluster, HedgedSpanIdsStayUniqueUnderAWideChainCap)
+{
+    // maxChainSpans is a user option: with it above 508, hedge[0]'s
+    // chain leaves run past id 514 — where a fixed 512 stride would
+    // put hedge[1] — so the stride must grow with the cap.
+    obs::SpanTracerOptions so;
+    so.maxChainSpans = 600;
+    obs::SpanTracer tracer(so);
+    ClusterOptions co = chaosClusterOptions();
+    co.spanTracer = &tracer;
+    co.hedgeMs = 0.0; // hedge every routed request
+    Cluster c(co);
+    Rng rng(5);
+    Expected<uint32_t> gru =
+        c.addModel("gru64", makeGru(randomGruWeights(64, 64, rng)));
+    ASSERT_TRUE(gru.ok()) << gru.status().toString();
+    TrafficOptions t;
+    t.baseRps = 100;
+    t.durationS = 0.1;
+    t.seed = 42;
+    t.mix.push_back(ModelMix{gru.value(), 1.0, 72, 0.0});
+    ClusterStats s = c.replay(generateTraffic(t));
+    ASSERT_GT(s.hedged, 0u);
+
+    Json doc = obs::spanTreeJson(tracer);
+    Status st = obs::validateSpanTreeJson(doc);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    // The replay produced the colliding shape: a served hedge[0] with
+    // more than 508 chain leaves beside a hedge[1].
+    size_t wide = 0;
+    const Json *traces = doc.find("traces");
+    for (size_t i = 0; i < traces->size(); ++i) {
+        const Json *kids = traces->at(i).find("root")->find("children");
+        if (!kids || kids->size() != 2)
+            continue;
+        const Json *req = kids->at(0).find("children");
+        if (!req)
+            continue;
+        const Json *phases = req->at(0).find("children");
+        if (!phases || phases->size() < 3)
+            continue;
+        const Json *leaves = phases->at(2).find("children");
+        if (leaves && leaves->size() > 508)
+            ++wide;
+    }
+    EXPECT_GT(wide, 0u);
+}
+
 TEST(Cluster, HedgingRescuesRequestsFromACrashedShard)
 {
     // One engine crashes for the first quarter of the run. Before the

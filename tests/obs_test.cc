@@ -604,6 +604,186 @@ TEST(SpanChainSpans, MaxChainSpansCapsChildren)
     EXPECT_EQ(execute.find("children")->size(), 1u);
 }
 
+/** Every field of a span, for whole-record comparisons. */
+void
+expectSameSpans(const std::vector<obs::SpanRecord> &got,
+                const std::vector<obs::SpanRecord> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        const obs::SpanRecord &a = got[i], &b = want[i];
+        SCOPED_TRACE("span " + std::to_string(i));
+        EXPECT_EQ(a.trace, b.trace);
+        EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.parent, b.parent);
+        EXPECT_EQ(a.kind, b.kind);
+        EXPECT_EQ(a.outcome, b.outcome);
+        EXPECT_EQ(a.chainKind, b.chainKind);
+        EXPECT_EQ(a.index, b.index);
+        EXPECT_EQ(a.chainId, b.chainId);
+        EXPECT_EQ(a.chainCount, b.chainCount);
+        EXPECT_EQ(a.startUs, b.startUs);
+        EXPECT_EQ(a.endUs, b.endUs);
+        EXPECT_EQ(a.startCycle, b.startCycle);
+        EXPECT_EQ(a.endCycle, b.endCycle);
+        EXPECT_EQ(a.dispatchCycles, b.dispatchCycles);
+        EXPECT_EQ(a.decodeCycles, b.decodeCycles);
+        EXPECT_EQ(a.dataStallCycles, b.dataStallCycles);
+        EXPECT_EQ(a.inputStallCycles, b.inputStallCycles);
+        EXPECT_EQ(a.structStallCycles, b.structStallCycles);
+        EXPECT_EQ(a.computeCycles, b.computeCycles);
+    }
+}
+
+/**
+ * Replay @p write into a ring of @p capacity and into an unbounded
+ * one; then offer the unbounded ring's spans (collect() order is the
+ * recording order here: traces ascend, ids ascend within a tree) one
+ * at a time to a third ring of @p capacity. Grouped claims must keep
+ * exactly what span-by-span recording keeps.
+ */
+template <typename Write>
+void
+expectGroupedMatchesSpanBySpan(size_t capacity, unsigned max_chain_spans,
+                               Write write)
+{
+    obs::SpanTracerOptions opts;
+    opts.maxChainSpans = max_chain_spans;
+    opts.shardCapacity = capacity;
+    obs::SpanTracer grouped(opts);
+    write(grouped);
+    opts.shardCapacity = 1u << 12;
+    obs::SpanTracer all(opts);
+    write(all);
+    ASSERT_EQ(all.dropped(), 0u);
+    opts.shardCapacity = capacity;
+    obs::SpanTracer single(opts);
+    for (const obs::SpanRecord &s : all.collect())
+        single.record(s);
+
+    EXPECT_EQ(grouped.recorded(), single.recorded());
+    EXPECT_EQ(grouped.dropped(), single.dropped());
+    expectSameSpans(grouped.collect(), single.collect());
+}
+
+TEST(SpanTracer, TreeClaimsAcrossRingWrapMatchSpanBySpan)
+{
+    // Trees of 2 (expired), 4 (served, no profiles) and 4 + k (served
+    // with k chain leaves) spans, enough of them to wrap rings of 5
+    // and 7 slots several times at every offset.
+    auto write = [](obs::SpanTracer &t) {
+        std::vector<obs::ChainProfile> three = twoChains();
+        three.push_back(three[1]);
+        three[2].chain = 9;
+        for (obs::TraceId trace = 1; trace <= 16; ++trace) {
+            obs::RequestSpans rs = okRequest(trace);
+            switch (trace % 4) {
+              case 0:
+                rs.outcome = obs::SpanOutcome::DeadlineExpired;
+                recordRequestTree(t, rs);
+                break;
+              case 1:
+                recordRequestTree(t, rs);
+                break;
+              case 2: {
+                obs::SpanId exec = recordRequestTree(t, rs);
+                recordChainSpans(t, trace, exec, 300, 900, twoChains(),
+                                 100);
+                break;
+              }
+              default: {
+                obs::SpanId exec = recordRequestTree(t, rs);
+                recordChainSpans(t, trace, exec, 300, 900, three, 100);
+                break;
+              }
+            }
+        }
+    };
+    for (size_t cap : {5u, 7u}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        expectGroupedMatchesSpanBySpan(cap, 256, write);
+    }
+}
+
+TEST(SpanTree, RoutedHedgedTreeIsOneClaimInSpanOrder)
+{
+    obs::ChainSpans chains = obs::makeChainSpans(twoChains(), 100);
+    auto write = [&chains](obs::SpanTracer &t) {
+        for (obs::TraceId trace = 1; trace <= 6; ++trace) {
+            obs::SpanTree tree;
+            tree.trace = trace;
+            tree.routed = true;
+            tree.route.admitUs = 100;
+            tree.route.doneUs = 900;
+            tree.route.engine = 1;
+            tree.route.model = 3;
+            tree.hedged = trace % 3 != 0;
+            tree.attempts = tree.hedged && trace % 2 ? 2 : 1;
+            for (unsigned i = 0; i < tree.attempts; ++i) {
+                obs::SpanAttempt &at = tree.attempt[i];
+                at.request = okRequest(trace);
+                at.engine = i;
+                at.chains = &chains;
+            }
+            if (tree.attempts == 2)
+                tree.attempt[1].request.outcome =
+                    obs::SpanOutcome::Cancelled;
+            obs::recordSpanTree(t, tree);
+        }
+    };
+    for (size_t cap : {5u, 7u}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        expectGroupedMatchesSpanBySpan(cap, 256, write);
+    }
+
+    // Layout: route 1; hedge[0] 2 over request 3..execute 6 and chains
+    // 7, 8; hedge[1] one stride later over a never-served tree.
+    obs::SpanTracer tracer{{}};
+    write(tracer);
+    std::vector<obs::SpanRecord> spans = tracer.collect();
+    std::vector<std::pair<obs::SpanId, obs::SpanId>> want = {
+        {1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 3}, {6, 3}, {7, 6}, {8, 6},
+        {514, 1}, {515, 514}, {516, 515}};
+    ASSERT_GE(spans.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(spans[i].trace, 1u);
+        EXPECT_EQ(spans[i].id, want[i].first) << i;
+        EXPECT_EQ(spans[i].parent, want[i].second) << i;
+    }
+    EXPECT_EQ(spans[1].kind, obs::SpanKind::Hedge);
+    EXPECT_EQ(spans[8].index, 1u);
+    EXPECT_TRUE(obs::validateSpanTreeJson(obs::spanTreeJson(tracer)).ok());
+}
+
+TEST(SpanChainSpans, CycleMapIsExactAcrossThe64BitProduct)
+{
+    // window * c straddles 2^64: (2^32 + 1)(2^32 - 1) = 2^64 - 1 fits,
+    // (2^32 + 1) * 2^32 does not. Either way the leaf lands where the
+    // 128-bit proportional map puts it.
+    const uint64_t service_us = 1000, window = (1ull << 32) + 1;
+    const Cycles total = 1ull << 33;
+    auto exact = [&](Cycles c) {
+        return service_us +
+               static_cast<uint64_t>(static_cast<unsigned __int128>(c) *
+                                     window / total);
+    };
+    const Cycles below = (1ull << 32) - 1, above = 1ull << 32;
+    for (const auto &[start, end] :
+         {std::pair<Cycles, Cycles>{below, above},
+          {below - 1, below}, {above, above + 1}, {0, total}}) {
+        obs::ChainProfile p;
+        p.dispatchStart = start;
+        p.done = end;
+        obs::SpanTracer tracer{{}};
+        recordChainSpans(tracer, 1, 4, service_us, service_us + window,
+                         {p}, total);
+        std::vector<obs::SpanRecord> spans = tracer.collect();
+        ASSERT_EQ(spans.size(), 1u);
+        EXPECT_EQ(spans[0].startUs, exact(start)) << start;
+        EXPECT_EQ(spans[0].endUs, exact(end)) << end;
+    }
+}
+
 TEST(SpanTreeJson, ExportValidatesAndOrders)
 {
     obs::SpanTracer tracer{{}};
