@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "obs/fleet.h"
 
 namespace bw {
 namespace cluster {
@@ -268,18 +269,11 @@ validateRouteJson(const Json &doc)
     uint64_t routed = 0, shed = 0, unavailable = 0;
     const Json *rows = doc.find("decisions");
     for (size_t i = 0; i < rows->size(); ++i) {
-        const Json &r = rows->at(i);
-        for (const char *key : {"seq", "model", "class", "engine"}) {
-            if (!r.contains(key))
-                return Status::invalidArgument(detail::format(
-                    "decision %zu missing field '%s'", i, key));
-        }
-        int64_t engine = r.find("engine")->asInt();
-        if (engine < -2 || engine >= engines)
+        Status st = obs::validateRouteRow(rows->at(i), engines);
+        if (!st.ok())
             return Status::invalidArgument(detail::format(
-                "decision %zu engine %lld out of range [-2, %lld)", i,
-                static_cast<long long>(engine),
-                static_cast<long long>(engines)));
+                "decision %zu: %s", i, st.message().c_str()));
+        int64_t engine = rows->at(i).find("engine")->asInt();
         if (engine == -2)
             ++unavailable;
         else if (engine < 0)

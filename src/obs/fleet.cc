@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <istream>
 #include <unordered_map>
 
@@ -319,7 +320,7 @@ RouteStreamWriter::finish()
     return emit(s);
 }
 
-// --- Stream validators ---
+// --- Stream framing ---
 
 namespace {
 
@@ -352,121 +353,76 @@ parseLine(const std::string &line, size_t lineno, Json *out)
     return Status();
 }
 
+/// Check that the members @p keys of @p obj are integers.
 Status
-requireInt(const Json &obj, const char *key, size_t lineno,
-           int64_t *out = nullptr)
+requireInts(const Json &obj, std::initializer_list<const char *> keys)
 {
-    const Json *v = obj.find(key);
-    if (!v || !v->isNumber())
-        return Status::invalidArgument(detail::format(
-            "line %zu missing numeric field '%s'", lineno, key));
-    if (out)
-        *out = v->asInt();
+    for (const char *key : keys) {
+        const Json *v = obj.find(key);
+        if (!v || v->type() != Json::Type::Int)
+            return Status::invalidArgument(
+                detail::format("missing integer field '%s'", key));
+    }
     return Status();
 }
 
+using LineCheck = std::function<Status(const Json &line)>;
+
+/// The NDJSON framing every stream shares: a header line tagged
+/// @p schema, rows strictly ascending by their integer @p order_key,
+/// and a summary trailer (the first line with a "summary" member) whose
+/// integer @p count_key equals the row count and which must be the last
+/// line. A stream that ends without the trailer is truncated. @p header
+/// (may be null), @p row and @p summary check each line's content; a
+/// failure comes back prefixed with its line number.
 Status
-streamHeader(std::istream &in, const char *schema, Json *header)
+readStream(std::istream &in, const char *schema, const char *order_key,
+           const char *count_key, const LineCheck &header,
+           const LineCheck &row, const LineCheck &summary)
 {
     std::string line;
-    if (!nextLine(in, &line))
-        return Status::invalidArgument("empty stream (no header line)");
-    Status st = parseLine(line, 1, header);
-    if (!st.ok())
-        return st;
-    const Json *tag = header->find("schema");
-    if (!tag || tag->type() != Json::Type::String ||
-        tag->asString() != schema)
-        return Status::invalidArgument(
-            detail::format("header schema tag is not %s", schema));
-    return Status();
-}
-
-} // namespace
-
-Status
-validateRouteStreamJson(std::istream &in)
-{
-    Json header;
-    Status st = streamHeader(in, "bw.routestream/1", &header);
-    if (!st.ok())
-        return st;
-    int64_t engines = 0;
-    st = requireInt(header, "engines", 1, &engines);
-    if (!st.ok())
-        return st;
-    if (engines < 1)
-        return Status::invalidArgument("header engines must be >= 1");
-    const Json *policy = header.find("policy");
-    if (!policy || policy->type() != Json::Type::String)
-        return Status::invalidArgument("header missing policy");
-
-    uint64_t routed = 0, shed = 0, last_seq = 0;
-    size_t lineno = 1;
-    std::string line;
+    size_t lineno = 0;
+    uint64_t rows = 0, last = 0;
     bool saw_summary = false;
-    while (nextLine(in, &line)) {
-        ++lineno;
-        Json row;
-        st = parseLine(line, lineno, &row);
+    while (!saw_summary && nextLine(in, &line)) {
+        Json obj;
+        Status st = parseLine(line, ++lineno, &obj);
         if (!st.ok())
             return st;
-        if (row.contains("summary")) {
-            int64_t rows = 0, srouted = 0, sshed = 0;
-            for (const char *key : {"rows", "routed", "shed"}) {
-                st = requireInt(row, key, lineno);
-                if (!st.ok())
-                    return st;
-            }
-            rows = row.find("rows")->asInt();
-            srouted = row.find("routed")->asInt();
-            sshed = row.find("shed")->asInt();
-            if (static_cast<uint64_t>(srouted) != routed ||
-                static_cast<uint64_t>(sshed) != shed ||
-                static_cast<uint64_t>(rows) != routed + shed)
-                return Status::invalidArgument(detail::format(
-                    "summary counters (rows %lld, routed %lld, shed "
-                    "%lld) do not match the %llu routed + %llu shed "
-                    "rows streamed",
-                    static_cast<long long>(rows),
-                    static_cast<long long>(srouted),
-                    static_cast<long long>(sshed),
-                    static_cast<unsigned long long>(routed),
-                    static_cast<unsigned long long>(shed)));
-            const Json *bc = row.find("shed_by_class");
-            if (!bc || bc->type() != Json::Type::Array)
+        if (lineno == 1) {
+            const Json *tag = obj.find("schema");
+            if (!tag || tag->type() != Json::Type::String ||
+                tag->asString() != schema)
                 return Status::invalidArgument(
-                    "summary missing shed_by_class array");
-            uint64_t by_class = 0;
-            for (size_t i = 0; i < bc->size(); ++i)
-                by_class += static_cast<uint64_t>(bc->at(i).asInt());
-            if (by_class != shed)
-                return Status::invalidArgument(
-                    "summary shed_by_class does not sum to shed");
+                    detail::format("header schema tag is not %s", schema));
+            if (header)
+                st = header(obj);
+        } else if (obj.contains("summary")) {
             saw_summary = true;
-            break;
+            st = requireInts(obj, {count_key});
+            if (st.ok() &&
+                static_cast<uint64_t>(obj.find(count_key)->asInt()) != rows)
+                st = Status::invalidArgument(detail::format(
+                    "summary %s does not match the %llu rows streamed",
+                    count_key, static_cast<unsigned long long>(rows)));
+            if (st.ok())
+                st = summary(obj);
+        } else if ((st = row(obj)).ok()) {
+            uint64_t key =
+                static_cast<uint64_t>(obj.find(order_key)->asInt());
+            if (key <= last)
+                st = Status::invalidArgument(detail::format(
+                    "%s %llu is not ascending", order_key,
+                    static_cast<unsigned long long>(key)));
+            last = key;
+            ++rows;
         }
-        int64_t seq = 0, engine = 0;
-        for (const char *key : {"seq", "model", "class", "engine"}) {
-            st = requireInt(row, key, lineno);
-            if (!st.ok())
-                return st;
-        }
-        seq = row.find("seq")->asInt();
-        engine = row.find("engine")->asInt();
-        if (static_cast<uint64_t>(seq) <= last_seq)
+        if (!st.ok())
             return Status::invalidArgument(detail::format(
-                "line %zu seq %lld is not ascending", lineno,
-                static_cast<long long>(seq)));
-        last_seq = static_cast<uint64_t>(seq);
-        // -1 = front-door shed, -2 = no healthy shard (unavailable).
-        if (engine < -2 || engine >= engines)
-            return Status::invalidArgument(detail::format(
-                "line %zu engine %lld out of range [-2, %lld)", lineno,
-                static_cast<long long>(engine),
-                static_cast<long long>(engines)));
-        engine < 0 ? ++shed : ++routed;
+                "line %zu: %s", lineno, st.message().c_str()));
     }
+    if (lineno == 0)
+        return Status::invalidArgument("empty stream (no header line)");
     if (!saw_summary)
         return Status::invalidArgument(
             "stream ended without a summary trailer (truncated?)");
@@ -474,6 +430,84 @@ validateRouteStreamJson(std::istream &in)
         return Status::invalidArgument(
             "trailing data after the summary trailer");
     return Status();
+}
+
+/// Dump @p j as one NDJSON line (into the reused @p line) to @p sink.
+bool
+sendLine(const StreamSink &sink, const Json &j, std::string &line)
+{
+    line = j.dump();
+    line += '\n';
+    return sink(line);
+}
+
+} // namespace
+
+// --- Route streaming ---
+
+Status
+validateRouteRow(const Json &row, int64_t engines)
+{
+    Status st = requireInts(row, {"seq", "model", "class", "engine"});
+    if (!st.ok())
+        return st;
+    // -1 = front-door shed, -2 = no healthy shard (unavailable).
+    int64_t engine = row.find("engine")->asInt();
+    if (engine < -2 || engine >= engines)
+        return Status::invalidArgument(detail::format(
+            "engine %lld out of range [-2, %lld)",
+            static_cast<long long>(engine),
+            static_cast<long long>(engines)));
+    return Status();
+}
+
+Status
+validateRouteStreamJson(std::istream &in)
+{
+    int64_t engines = 0, routed = 0, shed = 0;
+    auto header = [&](const Json &h) {
+        Status st = requireInts(h, {"engines"});
+        if (!st.ok())
+            return st;
+        engines = h.find("engines")->asInt();
+        if (engines < 1)
+            return Status::invalidArgument("header engines must be >= 1");
+        const Json *policy = h.find("policy");
+        if (!policy || policy->type() != Json::Type::String)
+            return Status::invalidArgument("header missing policy");
+        return Status();
+    };
+    auto row = [&](const Json &r) {
+        Status st = validateRouteRow(r, engines);
+        if (st.ok())
+            r.find("engine")->asInt() < 0 ? ++shed : ++routed;
+        return st;
+    };
+    auto summary = [&](const Json &s) {
+        Status st = requireInts(s, {"routed", "shed"});
+        if (!st.ok())
+            return st;
+        if (s.find("routed")->asInt() != routed ||
+            s.find("shed")->asInt() != shed)
+            return Status::invalidArgument(detail::format(
+                "summary routed/shed do not match the %lld routed + %lld "
+                "shed rows streamed",
+                static_cast<long long>(routed),
+                static_cast<long long>(shed)));
+        const Json *bc = s.find("shed_by_class");
+        if (!bc || bc->type() != Json::Type::Array)
+            return Status::invalidArgument(
+                "summary missing shed_by_class array");
+        int64_t by_class = 0;
+        for (size_t i = 0; i < bc->size(); ++i)
+            by_class += bc->at(i).asInt();
+        if (by_class != shed)
+            return Status::invalidArgument(
+                "summary shed_by_class does not sum to shed");
+        return Status();
+    };
+    return readStream(in, "bw.routestream/1", "seq", "rows", header, row,
+                      summary);
 }
 
 Status
@@ -494,49 +528,23 @@ streamSpanTreesNdjson(const std::vector<SpanRecord> &spans,
 {
     if (!sink)
         return Status::invalidArgument("span stream: null sink");
-    std::vector<const SpanRecord *> ordered;
-    ordered.reserve(spans.size());
-    for (const SpanRecord &s : spans)
-        ordered.push_back(&s);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const SpanRecord *a, const SpanRecord *b) {
-                  return a->trace != b->trace ? a->trace < b->trace
-                                              : a->id < b->id;
-              });
-
+    const Status aborted = Status::unavailable("span stream: sink aborted");
+    std::string line;
     Json header = Json::object();
     header.set("schema", "bw.spanstream/1");
-    std::string line = header.dump();
-    line += '\n';
-    if (!sink(line))
-        return Status::unavailable("span stream: sink aborted");
+    if (!sendLine(sink, header, line))
+        return aborted;
 
-    uint64_t traces = 0, exported = 0, incomplete = 0;
-    size_t i = 0;
-    while (i < ordered.size()) {
-        TraceId t = ordered[i]->trace;
-        size_t j = i;
-        std::vector<SpanRecord> slice;
-        while (j < ordered.size() && ordered[j]->trace == t) {
-            slice.push_back(*ordered[j]);
-            ++j;
-        }
-        i = j;
-        // Render this one trace through the canonical tree builder —
-        // memory is bounded by the largest single trace.
-        Json sub = spanTreeJson(slice, 0);
-        const Json *sub_traces = sub.find("traces");
-        if (const Json *inc = sub.find("incomplete_traces"))
-            incomplete += static_cast<uint64_t>(inc->asInt());
-        if (!sub_traces || sub_traces->size() == 0)
-            continue; // rootless trace: counted incomplete, not emitted
-        exported += static_cast<uint64_t>(sub.find("spans")->asInt());
-        ++traces;
-        line = sub_traces->at(0).dump();
-        line += '\n';
-        if (!sink(line))
-            return Status::unavailable("span stream: sink aborted");
-    }
+    uint64_t traces = 0, exported = 0;
+    bool ok = true;
+    uint64_t incomplete =
+        forEachSpanTraceRow(spans, [&](Json &row, uint64_t n) {
+            ++traces;
+            exported += n;
+            return ok = sendLine(sink, row, line);
+        });
+    if (!ok)
+        return aborted;
 
     Json summary = Json::object();
     summary.set("summary", true);
@@ -545,11 +553,7 @@ streamSpanTreesNdjson(const std::vector<SpanRecord> &spans,
     summary.set("dropped", dropped);
     if (incomplete > 0)
         summary.set("incomplete_traces", incomplete);
-    line = summary.dump();
-    line += '\n';
-    if (!sink(line))
-        return Status::unavailable("span stream: sink aborted");
-    return Status();
+    return sendLine(sink, summary, line) ? Status() : aborted;
 }
 
 Status
@@ -562,58 +566,10 @@ streamSpanTreesNdjson(const SpanTracer &tracer, const StreamSink &sink)
 Status
 validateSpanStreamJson(std::istream &in)
 {
-    Json header;
-    Status st = streamHeader(in, "bw.spanstream/1", &header);
-    if (!st.ok())
-        return st;
-    uint64_t traces = 0, last_trace = 0;
-    size_t lineno = 1;
-    std::string line;
-    bool saw_summary = false;
-    while (nextLine(in, &line)) {
-        ++lineno;
-        Json row;
-        st = parseLine(line, lineno, &row);
-        if (!st.ok())
-            return st;
-        if (row.contains("summary")) {
-            int64_t n = 0;
-            st = requireInt(row, "traces", lineno, &n);
-            if (!st.ok())
-                return st;
-            if (static_cast<uint64_t>(n) != traces)
-                return Status::invalidArgument(detail::format(
-                    "summary declares %lld traces, stream carried %llu",
-                    static_cast<long long>(n),
-                    static_cast<unsigned long long>(traces)));
-            st = requireInt(row, "spans", lineno);
-            if (!st.ok())
-                return st;
-            saw_summary = true;
-            break;
-        }
-        int64_t trace = 0;
-        st = requireInt(row, "trace", lineno, &trace);
-        if (!st.ok())
-            return st;
-        if (static_cast<uint64_t>(trace) <= last_trace)
-            return Status::invalidArgument(detail::format(
-                "line %zu trace %lld is not ascending", lineno,
-                static_cast<long long>(trace)));
-        last_trace = static_cast<uint64_t>(trace);
-        const Json *root = row.find("root");
-        if (!root || root->type() != Json::Type::Object)
-            return Status::invalidArgument(detail::format(
-                "line %zu trace entry missing root object", lineno));
-        ++traces;
-    }
-    if (!saw_summary)
-        return Status::invalidArgument(
-            "stream ended without a summary trailer (truncated?)");
-    if (nextLine(in, &line))
-        return Status::invalidArgument(
-            "trailing data after the summary trailer");
-    return Status();
+    return readStream(in, "bw.spanstream/1", "trace", "traces", nullptr,
+                      validateSpanTraceRow, [](const Json &s) {
+                          return requireInts(s, {"spans"});
+                      });
 }
 
 // --- Flight streaming ---
@@ -624,26 +580,26 @@ streamFlightNdjson(const FlightRecorder &recorder, const StreamSink &sink,
 {
     if (!sink)
         return Status::invalidArgument("flight stream: null sink");
+    const Status aborted =
+        Status::unavailable("flight stream: sink aborted");
+    std::string line;
     Json header = Json::object();
     header.set("schema", "bw.flightstream/1");
     header.set("window_us", recorder.options().windowUs);
     header.set("slowest_k", recorder.options().slowestK);
-    std::string line = header.dump();
-    line += '\n';
-    if (!sink(line))
-        return Status::unavailable("flight stream: sink aborted");
+    if (!sendLine(sink, header, line))
+        return aborted;
 
+    // One record per line, its span tree inline as a single-trace
+    // bw.spans/1 document.
     std::vector<FlightRecord> promoted = recorder.promoted();
+    std::vector<SpanRecord> spans;
     for (const FlightRecord &r : promoted) {
-        // One record per line: reuse the canonical single-record
-        // export, folding its span tree into the record object.
-        Json one = flightJson({r}, recorder.options(), 1, 0, chains_for);
-        Json row = one.find("promoted")->at(0);
-        row.set("spans", *one.find("spans"));
-        line = row.dump();
-        line += '\n';
-        if (!sink(line))
-            return Status::unavailable("flight stream: sink aborted");
+        spans.clear();
+        Json row = flightRecordRow(r, chains_for, spans);
+        row.set("spans", spanTreeJson(spans, 0));
+        if (!sendLine(sink, row, line))
+            return aborted;
     }
 
     Json summary = Json::object();
@@ -651,107 +607,50 @@ streamFlightNdjson(const FlightRecorder &recorder, const StreamSink &sink,
     summary.set("promoted", static_cast<uint64_t>(promoted.size()));
     summary.set("recorded", recorder.recorded());
     summary.set("dropped", recorder.dropped());
-    line = summary.dump();
-    line += '\n';
-    if (!sink(line))
-        return Status::unavailable("flight stream: sink aborted");
-    return Status();
+    return sendLine(sink, summary, line) ? Status() : aborted;
 }
 
 Status
 validateFlightStreamJson(std::istream &in)
 {
-    Json header;
-    Status st = streamHeader(in, "bw.flightstream/1", &header);
-    if (!st.ok())
-        return st;
-    for (const char *key : {"window_us", "slowest_k"}) {
-        st = requireInt(header, key, 1);
+    auto header = [](const Json &h) {
+        return requireInts(h, {"window_us", "slowest_k"});
+    };
+    // A stream row carries its span tree inline: a bw.spans/1 document
+    // holding exactly the record's trace.
+    auto row = [](const Json &r) {
+        Status st = validateFlightRecordRow(r);
         if (!st.ok())
             return st;
-    }
-    uint64_t promoted = 0, last_seq = 0;
-    size_t lineno = 1;
-    std::string line;
-    bool saw_summary = false;
-    while (nextLine(in, &line)) {
-        ++lineno;
-        Json row;
-        st = parseLine(line, lineno, &row);
-        if (!st.ok())
+        const Json *spans = r.find("spans");
+        if (!spans)
+            return Status::invalidArgument(
+                "record missing embedded spans document");
+        if (!(st = validateSpanTreeJson(*spans)).ok())
             return st;
-        if (row.contains("summary")) {
-            int64_t n = 0;
-            st = requireInt(row, "promoted", lineno, &n);
-            if (!st.ok())
-                return st;
-            if (static_cast<uint64_t>(n) != promoted)
-                return Status::invalidArgument(detail::format(
-                    "summary declares %lld promoted records, stream "
-                    "carried %llu",
-                    static_cast<long long>(n),
-                    static_cast<unsigned long long>(promoted)));
-            for (const char *key : {"recorded", "dropped"}) {
-                st = requireInt(row, key, lineno);
-                if (!st.ok())
-                    return st;
-            }
-            saw_summary = true;
-            break;
-        }
-        int64_t seq = 0;
-        for (const char *key : {"seq", "id", "replica", "steps",
-                                "admit_us", "dequeue_us", "service_us",
-                                "done_us", "latency_us"}) {
-            st = requireInt(row, key, lineno);
-            if (!st.ok())
-                return st;
-        }
-        seq = row.find("seq")->asInt();
-        if (static_cast<uint64_t>(seq) <= last_seq)
-            return Status::invalidArgument(detail::format(
-                "line %zu seq %lld is not ascending", lineno,
-                static_cast<long long>(seq)));
-        last_seq = static_cast<uint64_t>(seq);
-        const Json *cls = row.find("class");
-        if (!cls || cls->type() != Json::Type::String)
-            return Status::invalidArgument(detail::format(
-                "line %zu missing class name", lineno));
-        uint64_t admit = static_cast<uint64_t>(
-            row.find("admit_us")->asInt());
-        uint64_t dequeue = static_cast<uint64_t>(
-            row.find("dequeue_us")->asInt());
-        uint64_t service = static_cast<uint64_t>(
-            row.find("service_us")->asInt());
-        uint64_t done =
-            static_cast<uint64_t>(row.find("done_us")->asInt());
-        if (admit > dequeue || dequeue > service || service > done)
-            return Status::invalidArgument(detail::format(
-                "line %zu timestamps out of order", lineno));
-        const Json *spans = row.find("spans");
-        if (!spans || spans->type() != Json::Type::Object)
-            return Status::invalidArgument(detail::format(
-                "line %zu missing embedded spans document", lineno));
-        ++promoted;
-    }
-    if (!saw_summary)
-        return Status::invalidArgument(
-            "stream ended without a summary trailer (truncated?)");
-    if (nextLine(in, &line))
-        return Status::invalidArgument(
-            "trailing data after the summary trailer");
-    return Status();
+        const Json *traces = spans->find("traces");
+        if (traces->size() != 1 ||
+            traces->at(0).find("trace")->asInt() != r.find("seq")->asInt())
+            return Status::invalidArgument(
+                "record spans do not hold exactly its own trace");
+        return Status();
+    };
+    auto summary = [](const Json &s) {
+        return requireInts(s, {"recorded", "dropped"});
+    };
+    return readStream(in, "bw.flightstream/1", "seq", "promoted", header,
+                      row, summary);
 }
 
 Status
 validateStreamFile(const std::string &path)
 {
-    std::ifstream probe(path);
-    if (!probe)
+    std::ifstream in(path);
+    if (!in)
         return Status::invalidArgument(
             detail::format("cannot read %s", path.c_str()));
     std::string first;
-    if (!nextLine(probe, &first))
+    if (!nextLine(in, &first))
         return Status::invalidArgument("empty stream (no header line)");
     Json header;
     Status st = parseLine(first, 1, &header);
@@ -761,7 +660,8 @@ validateStreamFile(const std::string &path)
     std::string schema = tag && tag->type() == Json::Type::String
                              ? tag->asString()
                              : "";
-    std::ifstream in(path); // validators consume from the header on
+    in.clear();
+    in.seekg(0); // the validators read from the header on
     if (schema == "bw.routestream/1")
         return validateRouteStreamJson(in);
     if (schema == "bw.spanstream/1")

@@ -26,13 +26,12 @@
  *     shard is evaluated at its own high-water mark (shard clocks are
  *     independent); the rollup's evaluated_at_us is the fleet maximum.
  *   - Streaming exports replace the materialized in-memory logs for
- *     multi-million-request replays: RouteStreamWriter emits one
- *     bw.routestream/1 NDJSON line per routing decision as it is made
- *     (O(1) memory regardless of trace length), and the span/flight
- *     streamers render one trace/record per line from the bounded
- *     rings. Every stream ends in a summary line whose counters the
- *     validators check — a truncated stream is detected, not silently
- *     accepted.
+ *     multi-million-request replays. A stream is its document's rows,
+ *     one per line, between a header (schema tag and the document's
+ *     scalars) and a summary trailer whose counters the validators
+ *     check, so a truncated stream is rejected. Per schema, one row
+ *     builder and one row validator serve both forms, and one framing
+ *     reader serves every stream validator (DESIGN.md §10).
  *
  * Everything here is deterministic for deterministic input: federation
  * order is registration order x collect() order, the rollup is a pure
@@ -181,22 +180,20 @@ class RouteStreamWriter
     bool finished_ = false;
 };
 
-/**
- * Validate a bw.routestream/1 NDJSON stream in O(1) memory (line by
- * line): header schema and engine count, per-row required fields and
- * engine range, and the summary trailer's counters against the counted
- * rows. A stream that ends without the trailer — or whose final line is
- * a truncated JSON fragment — is invalid.
- */
+/** The bw.route/1 row validator: integer seq, model, class and engine,
+ *  engine in [-2, @p engines) (-1 shed, -2 no healthy shard). */
+Status validateRouteRow(const Json &row, int64_t engines);
+
+/** Validate a bw.routestream/1 stream line by line: header engine
+ *  count, validateRouteRow and ascending seq per row, trailer counts. */
 Status validateRouteStreamJson(std::istream &in);
 
 /** validateRouteStreamJson over a file. */
 Status validateRouteStreamFile(const std::string &path);
 
 /**
- * Stream the span-tree export as NDJSON, schema bw.spanstream/1: a
- * header line, then one complete trace tree per line (the traces[i]
- * object of spanTreeJson), then a summary trailer {"summary":true,
+ * Stream the span-tree export as bw.spanstream/1: a header, one
+ * forEachSpanTraceRow row per line, and a trailer {"summary":true,
  * "traces":T,"spans":S,"dropped":D}. Memory is bounded by the largest
  * single trace, not the export size.
  */
@@ -207,23 +204,23 @@ Status streamSpanTreesNdjson(const std::vector<SpanRecord> &spans,
 Status streamSpanTreesNdjson(const SpanTracer &tracer,
                              const StreamSink &sink);
 
-/** Line-by-line validator for a bw.spanstream/1 stream: header tag,
- *  one object per line with ascending trace ids and a root object,
- *  and the summary trailer's counts against the counted lines. */
+/** Validate a bw.spanstream/1 stream: validateSpanTraceRow and
+ *  ascending trace ids per row, trailer trace count. */
 Status validateSpanStreamJson(std::istream &in);
 
 /**
- * Stream the promoted flight log as NDJSON, schema bw.flightstream/1: a
- * header line, then one promoted record per line (the flightJson record
- * fields plus an embedded single-trace "spans" document), then a
- * summary trailer {"summary":true,"promoted":P,"recorded":R,
- * "dropped":D}. Memory is bounded by one record's span tree.
+ * Stream the promoted flight log as bw.flightstream/1: a header, one
+ * flightRecordRow per line with its span tree inline as a one-trace
+ * "spans" document, and a trailer {"summary":true,"promoted":P,
+ * "recorded":R,"dropped":D}. Memory is bounded by one record's tree.
  */
 Status streamFlightNdjson(const FlightRecorder &recorder,
                           const StreamSink &sink,
                           const ChainSpansFn &chains_for = {});
 
-/** Line-by-line validator for a bw.flightstream/1 stream. */
+/** Validate a bw.flightstream/1 stream: validateFlightRecordRow, an
+ *  inline spans document holding exactly the record's trace and
+ *  ascending seq per row, trailer count. */
 Status validateFlightStreamJson(std::istream &in);
 
 /** Dispatch on an NDJSON stream's header schema tag (bw.routestream/1,

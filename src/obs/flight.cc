@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <set>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -174,6 +173,45 @@ promoteFlightRecords(std::vector<FlightRecord> records,
 // --- Export ---
 
 Json
+flightRecordRow(const FlightRecord &r, const ChainSpansFn &chains_for,
+                std::vector<SpanRecord> &spans)
+{
+    Json e = Json::object();
+    e.set("seq", r.seq);
+    e.set("id", r.id);
+    e.set("class", flightClassName(r.cls));
+    e.set("sampled", r.sampled);
+    e.set("replica", r.replica);
+    e.set("steps", r.steps);
+    e.set("admit_us", r.admitUs);
+    e.set("dequeue_us", r.dequeueUs);
+    e.set("service_us", r.serviceUs);
+    e.set("done_us", r.doneUs);
+    e.set("latency_us", r.latencyUs);
+
+    // The span evidence head sampling would have dropped, rebuilt by the
+    // live span writer (trace id = submission seq).
+    SpanTree tree;
+    tree.trace = r.seq;
+    RequestSpans &rs = tree.attempt[0].request;
+    rs.admitUs = r.admitUs;
+    rs.dequeueUs = r.dequeueUs;
+    rs.serviceUs = r.serviceUs;
+    rs.doneUs = r.doneUs;
+    rs.replica = r.replica;
+    rs.outcome = flightClassOutcome(r.cls);
+    bool served = r.cls == FlightClass::Ok || r.cls == FlightClass::Error;
+    if (served && chains_for) {
+        if (const ChainSpans *cs = chains_for(r.steps)) {
+            rs.chainCount = static_cast<uint32_t>(cs->templates.size());
+            tree.attempt[0].chains = cs;
+        }
+    }
+    appendSpanTree(spans, tree, SpanTracerOptions{}.maxChainSpans);
+    return e;
+}
+
+Json
 flightJson(const std::vector<FlightRecord> &promoted,
            const FlightRecorderOptions &opts, uint64_t recorded,
            uint64_t dropped, const ChainSpansFn &chains_for)
@@ -186,54 +224,11 @@ flightJson(const std::vector<FlightRecord> &promoted,
     doc.set("dropped", dropped);
 
     Json list = Json::array();
-    for (const FlightRecord &r : promoted) {
-        Json e = Json::object();
-        e.set("seq", r.seq);
-        e.set("id", r.id);
-        e.set("class", flightClassName(r.cls));
-        e.set("sampled", r.sampled);
-        e.set("replica", r.replica);
-        e.set("steps", r.steps);
-        e.set("admit_us", r.admitUs);
-        e.set("dequeue_us", r.dequeueUs);
-        e.set("service_us", r.serviceUs);
-        e.set("done_us", r.doneUs);
-        e.set("latency_us", r.latencyUs);
-        list.push(std::move(e));
-    }
+    std::vector<SpanRecord> spans;
+    for (const FlightRecord &r : promoted)
+        list.push(flightRecordRow(r, chains_for, spans));
     doc.set("promoted", std::move(list));
-
-    // Reconstruct one full span tree per promoted record (trace id =
-    // submission seq) and embed it as a bw.spans/1 document — the span
-    // evidence head sampling would have dropped. A scratch tracer sized
-    // for the worst case keeps the recording path shared with the live
-    // span exports.
-    SpanTracerOptions sopts;
-    sopts.shardCapacity =
-        std::max<size_t>(1, promoted.size() * (4 + sopts.maxChainSpans));
-    SpanTracer scratch(sopts);
-    for (const FlightRecord &r : promoted) {
-        SpanTree tree;
-        tree.trace = r.seq;
-        RequestSpans &rs = tree.attempt[0].request;
-        rs.admitUs = r.admitUs;
-        rs.dequeueUs = r.dequeueUs;
-        rs.serviceUs = r.serviceUs;
-        rs.doneUs = r.doneUs;
-        rs.replica = r.replica;
-        rs.outcome = flightClassOutcome(r.cls);
-        bool served = r.cls == FlightClass::Ok ||
-                      r.cls == FlightClass::Error;
-        if (served && chains_for) {
-            if (const ChainSpans *cs = chains_for(r.steps)) {
-                rs.chainCount =
-                    static_cast<uint32_t>(cs->templates.size());
-                tree.attempt[0].chains = cs;
-            }
-        }
-        recordSpanTree(scratch, tree);
-    }
-    doc.set("spans", spanTreeJson(scratch.collect(), 0));
+    doc.set("spans", spanTreeJson(spans, 0));
     return doc;
 }
 
@@ -255,14 +250,11 @@ failFlight(const std::string &why)
     return Status::invalidArgument("flight document: " + why);
 }
 
-const char *const kClassNames[] = {"ok", "deadline_expired", "rejected",
-                                   "error", "cancelled"};
-
 bool
 knownClass(const std::string &s)
 {
-    for (const char *k : kClassNames) {
-        if (s == k)
+    for (int c = 0; c < static_cast<int>(FlightClass::NumFlightClasses); ++c) {
+        if (s == flightClassName(static_cast<FlightClass>(c)))
             return true;
     }
     return false;
@@ -274,13 +266,36 @@ intMember(const Json &obj, const char *key, int64_t *out)
 {
     const Json *v = obj.find(key);
     if (!v || v->type() != Json::Type::Int || v->asInt() < 0)
-        return failFlight(std::string("record missing non-negative "
-                                      "integer '") + key + "'");
+        return Status::invalidArgument(
+            std::string("missing non-negative integer '") + key + "'");
     *out = v->asInt();
     return Status();
 }
 
 } // namespace
+
+Status
+validateFlightRecordRow(const Json &row)
+{
+    int64_t admit = 0, dequeue = 0, service = 0, done = 0, n = 0;
+    Status st;
+    for (const char *key : {"seq", "id", "replica", "steps", "latency_us"}) {
+        if (!(st = intMember(row, key, &n)).ok())
+            return st;
+    }
+    if (!(st = intMember(row, "admit_us", &admit)).ok() ||
+        !(st = intMember(row, "dequeue_us", &dequeue)).ok() ||
+        !(st = intMember(row, "service_us", &service)).ok() ||
+        !(st = intMember(row, "done_us", &done)).ok())
+        return st;
+    const Json *cls = row.find("class");
+    if (!cls || cls->type() != Json::Type::String ||
+        !knownClass(cls->asString()))
+        return Status::invalidArgument("record missing known class name");
+    if (admit > dequeue || dequeue > service || service > done)
+        return Status::invalidArgument("record timestamps out of order");
+    return Status();
+}
 
 Status
 validateFlightJson(const Json &doc)
@@ -292,11 +307,10 @@ validateFlightJson(const Json &doc)
         schema->asString() != kSchema) {
         return failFlight(std::string("schema is not '") + kSchema + "'");
     }
+    int64_t n = 0;
     for (const char *key : {"window_us", "recorded", "dropped"}) {
-        const Json *v = doc.find(key);
-        if (!v || v->type() != Json::Type::Int || v->asInt() < 0)
-            return failFlight(std::string("missing non-negative "
-                                          "integer '") + key + "'");
+        if (Status st = intMember(doc, key, &n); !st.ok())
+            return failFlight(st.message());
     }
     const Json *promoted = doc.find("promoted");
     if (!promoted || promoted->type() != Json::Type::Array)
@@ -306,35 +320,14 @@ validateFlightJson(const Json &doc)
     int64_t prev_seq = 0;
     for (size_t i = 0; i < promoted->size(); ++i) {
         const Json &r = promoted->at(i);
-        if (r.type() != Json::Type::Object)
-            return failFlight("promoted entry is not an object");
-        int64_t seq = 0, admit = 0, dequeue = 0, service = 0, done = 0;
-        Status st;
-        if (!(st = intMember(r, "seq", &seq)).ok())
-            return st;
+        if (Status st = validateFlightRecordRow(r); !st.ok())
+            return failFlight(detail::format("record %zu: %s", i,
+                                             st.message().c_str()));
+        int64_t seq = r.find("seq")->asInt();
         if (seq <= prev_seq)
             return failFlight("promoted seqs not strictly ascending");
         prev_seq = seq;
         seqs.insert(seq);
-        const Json *cls = r.find("class");
-        if (!cls || cls->type() != Json::Type::String ||
-            !knownClass(cls->asString()))
-            return failFlight("record missing known class name");
-        if (!(st = intMember(r, "admit_us", &admit)).ok())
-            return st;
-        if (!(st = intMember(r, "dequeue_us", &dequeue)).ok())
-            return st;
-        if (!(st = intMember(r, "service_us", &service)).ok())
-            return st;
-        if (!(st = intMember(r, "done_us", &done)).ok())
-            return st;
-        if (admit > dequeue || dequeue > service || service > done)
-            return failFlight(detail::format(
-                "record seq %lld timestamps out of order",
-                static_cast<long long>(seq)));
-        int64_t ignored;
-        if (!(st = intMember(r, "latency_us", &ignored)).ok())
-            return st;
     }
 
     const Json *spans = doc.find("spans");

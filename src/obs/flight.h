@@ -175,18 +175,19 @@ std::vector<FlightRecord> promoteFlightRecords(
 using ChainSpansFn = std::function<const ChainSpans *(uint32_t steps)>;
 
 /**
- * Flight-log export, schema bw.flight/1:
- *
- *   {schema: "bw.flight/1", window_us, slowest_k, recorded, dropped,
- *    promoted: [{seq, id, class, sampled, replica, steps, admit_us,
- *                dequeue_us, service_us, done_us, latency_us}],
- *    spans: <bw.spans/1 document>}
- *
- * The embedded spans document holds one full span tree per promoted
- * record, keyed by the record's sequence number as the trace id:
- * request / queue_wait for never-served outcomes, plus dispatch /
- * execute / chain[i] leaves (via @p chains_for) for served ones.
- * Deterministic for deterministic input.
+ * The bw.flight/1 row builder: @p r's row {seq, id, class, sampled,
+ * replica, steps, admit_us, dequeue_us, service_us, done_us,
+ * latency_us}. Appends the record's span tree (trace id = seq) to
+ * @p spans: request / queue_wait, plus dispatch / execute / chain[i]
+ * leaves (via @p chains_for) when served.
+ */
+Json flightRecordRow(const FlightRecord &r, const ChainSpansFn &chains_for,
+                     std::vector<SpanRecord> &spans);
+
+/**
+ * Flight-log export, schema bw.flight/1: {schema, window_us, slowest_k,
+ * recorded, dropped, promoted: [flightRecordRow rows], spans: <the
+ * rows' span trees as one bw.spans/1 document>}.
  */
 Json flightJson(const std::vector<FlightRecord> &promoted,
                 const FlightRecorderOptions &opts, uint64_t recorded,
@@ -196,13 +197,14 @@ Json flightJson(const std::vector<FlightRecord> &promoted,
 Json flightJson(const FlightRecorder &recorder,
                 const ChainSpansFn &chains_for = {});
 
+/** The bw.flight/1 row validator: non-negative integer fields, a known
+ *  class, admit <= dequeue <= service <= done. */
+Status validateFlightRecordRow(const Json &row);
+
 /**
- * Validate a flightJson() document: schema tag, required integer
- * members, known class names, records ascending by seq, timestamps
- * ordered (admit <= dequeue <= service <= done), the embedded spans
- * document valid under validateSpanTreeJson with exactly one trace per
- * promoted record (trace id == seq). Returns OK or InvalidArgument
- * naming the first violation.
+ * Validate a flightJson() document: schema tag, integer members,
+ * validateFlightRecordRow on every record, seqs ascending, and a valid
+ * spans document with exactly one trace per record (trace id == seq).
  */
 Status validateFlightJson(const Json &doc);
 

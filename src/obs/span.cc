@@ -194,11 +194,21 @@ leafCount(const SpanAttempt &at, unsigned max_chain_spans)
     return std::min<size_t>(at.chains->templates.size(), max_chain_spans);
 }
 
-SpanRecord &
-stamp(SpanTracer::Claim &claim, TraceId trace, SpanId id, SpanId parent,
-      SpanKind kind, uint64_t start_us, uint64_t end_us)
+/// Span-slot outputs the tree writer fills in order: a ring claim
+/// (SpanTracer::Claim) or a presized vector (SpanSlots).
+struct SpanSlots
 {
-    SpanRecord &r = claim.next();
+    SpanRecord *p;
+
+    SpanRecord &next() { return *p++; }
+};
+
+template <class Out>
+SpanRecord &
+stamp(Out &out, TraceId trace, SpanId id, SpanId parent, SpanKind kind,
+      uint64_t start_us, uint64_t end_us)
+{
+    SpanRecord &r = out.next();
     r = SpanRecord{};
     r.trace = trace;
     r.id = id;
@@ -210,34 +220,36 @@ stamp(SpanTracer::Claim &claim, TraceId trace, SpanId id, SpanId parent,
 }
 
 /** Request tree at ids parent+1..; returns the execute id (0: none). */
+template <class Out>
 SpanId
-writeRequestTree(SpanTracer::Claim &claim, TraceId trace,
-                 const RequestSpans &rs, SpanId parent)
+writeRequestTree(Out &out, TraceId trace, const RequestSpans &rs,
+                 SpanId parent)
 {
     SpanId req = parent + 1;
-    SpanRecord &r = stamp(claim, trace, req, parent, SpanKind::Request,
+    SpanRecord &r = stamp(out, trace, req, parent, SpanKind::Request,
                           rs.admitUs, rs.doneUs);
     r.outcome = rs.outcome;
-    stamp(claim, trace, parent + 2, req, SpanKind::QueueWait, rs.admitUs,
+    stamp(out, trace, parent + 2, req, SpanKind::QueueWait, rs.admitUs,
           rs.dequeueUs);
     if (!served(rs.outcome))
         return 0; // never reached service: queue_wait is the story
-    stamp(claim, trace, parent + 3, req, SpanKind::Dispatch, rs.dequeueUs,
+    stamp(out, trace, parent + 3, req, SpanKind::Dispatch, rs.dequeueUs,
           rs.serviceUs);
-    SpanRecord &e = stamp(claim, trace, parent + 4, req, SpanKind::Execute,
+    SpanRecord &e = stamp(out, trace, parent + 4, req, SpanKind::Execute,
                           rs.serviceUs, rs.doneUs);
     e.index = rs.replica;
     e.chainCount = rs.chainCount;
     return e.id;
 }
 
+template <class Out>
 void
-writeChainLeaves(SpanTracer::Claim &claim, TraceId trace, SpanId execute,
+writeChainLeaves(Out &out, TraceId trace, SpanId execute,
                  uint64_t service_us, uint64_t done_us,
                  const ChainSpans &cs, size_t take)
 {
     for (size_t i = 0; i < take; ++i) {
-        SpanRecord &s = claim.next();
+        SpanRecord &s = out.next();
         s = cs.templates[i];
         s.trace = trace;
         s.id = static_cast<SpanId>(execute + 1 + i);
@@ -250,29 +262,30 @@ writeChainLeaves(SpanTracer::Claim &claim, TraceId trace, SpanId execute,
     }
 }
 
-} // namespace
-
-void
-recordSpanTree(SpanTracer &tracer, const SpanTree &tree)
+/** Spans @p tree writes with chain leaves capped at @p cap. */
+size_t
+spanTreeSize(const SpanTree &tree, unsigned cap)
 {
-    if (tree.trace == 0)
-        return;
-    unsigned cap = tracer.options().maxChainSpans;
-    size_t leaves[2] = {};
     size_t n = tree.routed ? 1 : 0;
     for (unsigned i = 0; i < tree.attempts; ++i) {
         const SpanAttempt &at = tree.attempt[i];
-        leaves[i] = leafCount(at, cap);
         n += (tree.hedged ? 1 : 0) + (served(at.request.outcome) ? 4 : 2) +
-             leaves[i];
+             leafCount(at, cap);
     }
+    return n;
+}
 
-    SpanTracer::Claim claim = tracer.claim(n);
+/** Write @p tree's spanTreeSize(tree, cap) records into @p out: route,
+ *  then per attempt its hedge span, request tree and chain leaves. */
+template <class Out>
+void
+writeSpanTree(Out &out, const SpanTree &tree, unsigned cap)
+{
     SpanId root = 0;
     if (tree.routed) {
         root = 1;
         const RouteSpan &rs = tree.route;
-        SpanRecord &r = stamp(claim, tree.trace, root, 0, SpanKind::Route,
+        SpanRecord &r = stamp(out, tree.trace, root, 0, SpanKind::Route,
                               rs.admitUs, rs.doneUs);
         r.outcome = rs.outcome;
         r.index = rs.engine;
@@ -285,17 +298,41 @@ recordSpanTree(SpanTracer &tracer, const SpanTree &tree)
         SpanId parent = root;
         if (tree.hedged) {
             parent = 2 + i * stride;
-            SpanRecord &h = stamp(claim, tree.trace, parent, root,
+            SpanRecord &h = stamp(out, tree.trace, parent, root,
                                   SpanKind::Hedge, rq.admitUs, rq.doneUs);
             h.outcome = rq.outcome;
             h.index = i;           // hedge ordinal: "hedge[i]"
             h.chainId = at.engine; // the engine this attempt hit
         }
-        SpanId exec = writeRequestTree(claim, tree.trace, rq, parent);
-        if (leaves[i] > 0)
-            writeChainLeaves(claim, tree.trace, exec, rq.serviceUs,
-                             rq.doneUs, *at.chains, leaves[i]);
+        SpanId exec = writeRequestTree(out, tree.trace, rq, parent);
+        if (size_t leaves = leafCount(at, cap))
+            writeChainLeaves(out, tree.trace, exec, rq.serviceUs,
+                             rq.doneUs, *at.chains, leaves);
     }
+}
+
+} // namespace
+
+void
+recordSpanTree(SpanTracer &tracer, const SpanTree &tree)
+{
+    if (tree.trace == 0)
+        return;
+    unsigned cap = tracer.options().maxChainSpans;
+    SpanTracer::Claim claim = tracer.claim(spanTreeSize(tree, cap));
+    writeSpanTree(claim, tree, cap);
+}
+
+void
+appendSpanTree(std::vector<SpanRecord> &out, const SpanTree &tree,
+               unsigned max_chain_spans)
+{
+    if (tree.trace == 0)
+        return;
+    size_t at = out.size();
+    out.resize(at + spanTreeSize(tree, max_chain_spans));
+    SpanSlots slots{out.data() + at};
+    writeSpanTree(slots, tree, max_chain_spans);
 }
 
 SpanId
@@ -389,13 +426,34 @@ spanNode(const SpanRecord &s, const std::vector<const SpanRecord *> &kids)
     return n;
 }
 
+using SpanKids =
+    std::unordered_map<SpanId, std::vector<const SpanRecord *>>;
+
+/// Render @p s and its subtree, counting spans into @p exported.
+Json
+renderSpan(const SpanRecord &s, const SpanKids &kids, uint64_t *exported)
+{
+    static const std::vector<const SpanRecord *> none;
+    auto it = kids.find(s.id);
+    const std::vector<const SpanRecord *> &children =
+        it == kids.end() ? none : it->second;
+    Json n = spanNode(s, children);
+    ++*exported;
+    if (!children.empty()) {
+        Json arr = Json::array();
+        for (const SpanRecord *c : children)
+            arr.push(renderSpan(*c, kids, exported));
+        n.set("children", std::move(arr));
+    }
+    return n;
+}
+
 } // namespace
 
-Json
-spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
+uint64_t
+forEachSpanTraceRow(const std::vector<SpanRecord> &spans,
+                    const SpanTraceRowFn &row)
 {
-    // Group by trace (input is collect()-sorted or close; sort copies
-    // of the indices to be safe with arbitrary callers).
     std::vector<const SpanRecord *> ordered;
     ordered.reserve(spans.size());
     for (const SpanRecord &s : spans)
@@ -406,10 +464,7 @@ spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
                                               : a->id < b->id;
               });
 
-    Json traces = Json::array();
-    uint64_t exported = 0;
     uint64_t incomplete = 0;
-
     size_t i = 0;
     while (i < ordered.size()) {
         TraceId t = ordered[i]->trace;
@@ -418,7 +473,7 @@ spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
             ++j;
 
         // Children by parent id; the root is the parentless request.
-        std::unordered_map<SpanId, std::vector<const SpanRecord *>> kids;
+        SpanKids kids;
         const SpanRecord *root = nullptr;
         std::unordered_map<SpanId, const SpanRecord *> by_id;
         for (size_t k = i; k < j; ++k) {
@@ -453,60 +508,30 @@ spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
                       });
         }
 
-        // Render the tree depth-first without recursion limits to worry
-        // about: the tree is at most 3 deep by construction.
-        struct Frame
-        {
-            const SpanRecord *span;
-            Json node;
-            size_t next = 0;
-        };
-        std::vector<Frame> stack;
-        auto kids_of = [&](SpanId id) -> std::vector<const SpanRecord *> & {
-            static std::vector<const SpanRecord *> none;
-            auto it = kids.find(id);
-            return it == kids.end() ? none : it->second;
-        };
-        stack.push_back({root, spanNode(*root, kids_of(root->id)), 0});
-        ++exported;
-        Json root_node;
-        while (!stack.empty()) {
-            Frame &f = stack.back();
-            auto &children = kids_of(f.span->id);
-            if (f.next < children.size()) {
-                const SpanRecord *c = children[f.next++];
-                stack.push_back({c, spanNode(*c, kids_of(c->id)), 0});
-                ++exported;
-                continue;
-            }
-            Json done = std::move(f.node);
-            const SpanRecord *done_span = f.span;
-            stack.pop_back();
-            if (stack.empty()) {
-                root_node = std::move(done);
-                break;
-            }
-            (void)done_span;
-            Json *parent_children = nullptr;
-            // children array is added lazily on first completed child.
-            Frame &pf = stack.back();
-            if (!pf.node.contains("children"))
-                pf.node.set("children", Json::array());
-            // Re-set: copy out, push, set back (Json has no mutable
-            // find; trees are small enough that this stays cheap).
-            Json arr = *pf.node.find("children");
-            arr.push(std::move(done));
-            pf.node.set("children", std::move(arr));
-            (void)parent_children;
-        }
-
+        uint64_t exported = 0;
+        Json root_node = renderSpan(*root, kids, &exported);
         Json tr = Json::object();
         tr.set("trace", t);
         if (lost_parent)
             tr.set("incomplete", true);
         tr.set("root", std::move(root_node));
-        traces.push(std::move(tr));
+        if (!row(tr, exported))
+            break;
     }
+    return incomplete;
+}
+
+Json
+spanTreeJson(const std::vector<SpanRecord> &spans, uint64_t dropped)
+{
+    Json traces = Json::array();
+    uint64_t exported = 0;
+    uint64_t incomplete =
+        forEachSpanTraceRow(spans, [&](Json &row, uint64_t n) {
+            exported += n;
+            traces.push(std::move(row));
+            return true;
+        });
 
     Json doc = Json::object();
     doc.set("schema", kSchema);
@@ -536,9 +561,9 @@ failSpan(TraceId trace, const std::string &why)
         why.c_str()));
 }
 
+/// Validate @p node and its subtree; @p parent is null at the root.
 Status
-validateSpan(const Json &node, TraceId trace, bool is_root,
-             const Json *parent,
+validateSpan(const Json &node, TraceId trace, const Json *parent,
              std::unordered_set<int64_t> &ids)
 {
     if (node.type() != Json::Type::Object)
@@ -547,47 +572,37 @@ validateSpan(const Json &node, TraceId trace, bool is_root,
     if (!name || name->type() != Json::Type::String ||
         name->asString().empty())
         return failSpan(trace, "span missing name");
-    if (is_root && name->asString() != "request" &&
+    auto bad = [&](const std::string &why) {
+        return failSpan(trace, "span '" + name->asString() + "' " + why);
+    };
+    if (!parent && name->asString() != "request" &&
         name->asString() != "route")
-        return failSpan(trace,
-                        "root span is not named 'request' or 'route'");
+        return bad("is a root not named 'request' or 'route'");
     const Json *id = node.find("id");
     if (!id || id->type() != Json::Type::Int || id->asInt() <= 0)
-        return failSpan(trace, "span '" + name->asString() +
-                                   "' missing positive integer id");
+        return bad("missing positive integer id");
     if (!ids.insert(id->asInt()).second)
-        return failSpan(trace, "duplicate span id " +
-                                   std::to_string(id->asInt()));
+        return bad("has duplicate id " + std::to_string(id->asInt()));
     const Json *start = node.find("start_us");
     const Json *end = node.find("end_us");
     const Json *dur = node.find("dur_us");
-    if (!start || start->type() != Json::Type::Int || !end ||
-        end->type() != Json::Type::Int || !dur ||
-        dur->type() != Json::Type::Int) {
-        return failSpan(trace, "span '" + name->asString() +
-                                   "' missing integer start_us/end_us/"
-                                   "dur_us");
+    for (const Json *v : {start, end, dur}) {
+        if (!v || v->type() != Json::Type::Int)
+            return bad("missing integer start_us/end_us/dur_us");
     }
-    if (end->asInt() < start->asInt())
-        return failSpan(trace,
-                        "span '" + name->asString() + "' ends before it "
-                        "starts");
-    if (dur->asInt() != end->asInt() - start->asInt())
-        return failSpan(trace, "span '" + name->asString() +
-                                   "' dur_us != end_us - start_us");
-    if (parent) {
-        int64_t ps = parent->find("start_us")->asInt();
-        int64_t pe = parent->find("end_us")->asInt();
-        if (start->asInt() < ps || end->asInt() > pe)
-            return failSpan(trace, "span '" + name->asString() +
-                                       "' escapes its parent interval");
-    }
+    int64_t s = start->asInt(), e = end->asInt();
+    if (e < s)
+        return bad("ends before it starts");
+    if (dur->asInt() != e - s)
+        return bad("dur_us != end_us - start_us");
+    if (parent && (s < parent->find("start_us")->asInt() ||
+                   e > parent->find("end_us")->asInt()))
+        return bad("escapes its parent interval");
     if (const Json *children = node.find("children")) {
         if (children->type() != Json::Type::Array)
-            return failSpan(trace, "children is not an array");
+            return bad("children is not an array");
         for (size_t i = 0; i < children->size(); ++i) {
-            Status st = validateSpan(children->at(i), trace, false,
-                                     &node, ids);
+            Status st = validateSpan(children->at(i), trace, &node, ids);
             if (!st.ok())
                 return st;
         }
@@ -596,6 +611,23 @@ validateSpan(const Json &node, TraceId trace, bool is_root,
 }
 
 } // namespace
+
+Status
+validateSpanTraceRow(const Json &row)
+{
+    if (row.type() != Json::Type::Object)
+        return Status::invalidArgument("trace entry is not an object");
+    const Json *tid = row.find("trace");
+    if (!tid || tid->type() != Json::Type::Int || tid->asInt() <= 0)
+        return Status::invalidArgument(
+            "trace entry missing positive integer trace id");
+    TraceId trace = static_cast<TraceId>(tid->asInt());
+    const Json *root = row.find("root");
+    if (!root)
+        return failSpan(trace, "trace entry missing root span");
+    std::unordered_set<int64_t> ids;
+    return validateSpan(*root, trace, nullptr, ids);
+}
 
 Status
 validateSpanTreeJson(const Json &doc)
@@ -614,21 +646,7 @@ validateSpanTreeJson(const Json &doc)
         return Status::invalidArgument(
             "span document has no traces array");
     for (size_t i = 0; i < traces->size(); ++i) {
-        const Json &tr = traces->at(i);
-        if (tr.type() != Json::Type::Object)
-            return Status::invalidArgument("trace entry is not an object");
-        const Json *tid = tr.find("trace");
-        if (!tid || tid->type() != Json::Type::Int || tid->asInt() <= 0)
-            return Status::invalidArgument(
-                "trace entry missing positive integer trace id");
-        const Json *root = tr.find("root");
-        if (!root)
-            return failSpan(static_cast<TraceId>(tid->asInt()),
-                            "trace entry missing root span");
-        std::unordered_set<int64_t> ids;
-        Status st = validateSpan(*root,
-                                 static_cast<TraceId>(tid->asInt()),
-                                 true, nullptr, ids);
+        Status st = validateSpanTraceRow(traces->at(i));
         if (!st.ok())
             return st;
     }
@@ -639,89 +657,7 @@ validateSpanTreeJson(const Json &doc)
 
 namespace {
 
-/** Append one b/e async pair for a span interval. */
-void
-pushAsyncPair(Json &events, TraceId trace, const std::string &name,
-              uint64_t start_us, uint64_t end_us, Json args)
-{
-    Json b = Json::object();
-    b.set("name", name);
-    b.set("cat", "bw.span");
-    b.set("ph", "b");
-    b.set("id", std::to_string(trace));
-    b.set("ts", start_us);
-    b.set("pid", 0);
-    if (!args.isNull())
-        b.set("args", std::move(args));
-    events.push(std::move(b));
-
-    Json e = Json::object();
-    e.set("name", name);
-    e.set("cat", "bw.span");
-    e.set("ph", "e");
-    e.set("id", std::to_string(trace));
-    e.set("ts", end_us);
-    e.set("pid", 0);
-    events.push(std::move(e));
-}
-
-/** Splice @p extra onto chrome_doc.traceEvents (created when absent). */
-void
-spliceEvents(Json &chrome_doc, Json extra)
-{
-    Json events = Json::array();
-    if (const Json *existing = chrome_doc.find("traceEvents"))
-        events = *existing;
-    for (size_t i = 0; i < extra.size(); ++i)
-        events.push(extra.at(i));
-    chrome_doc.set("traceEvents", std::move(events));
-}
-
-} // namespace
-
-void
-appendSpanEvents(Json &chrome_doc, const std::vector<SpanRecord> &spans)
-{
-    Json events = Json::array();
-    for (const SpanRecord &s : spans) {
-        Json args = Json::object();
-        args.set("trace", s.trace);
-        switch (s.kind) {
-          case SpanKind::Request:
-            args.set("outcome", spanOutcomeName(s.outcome));
-            break;
-          case SpanKind::Route:
-            args.set("outcome", spanOutcomeName(s.outcome));
-            args.set("engine", s.index);
-            args.set("model", s.chainId);
-            break;
-          case SpanKind::Hedge:
-            args.set("outcome", spanOutcomeName(s.outcome));
-            args.set("engine", s.chainId);
-            break;
-          case SpanKind::Execute:
-            args.set("replica", s.index);
-            break;
-          case SpanKind::Chain:
-            args.set("chain", s.chainId);
-            args.set("start_cycle", s.startCycle);
-            args.set("end_cycle", s.endCycle);
-            args.set("data_stall", s.dataStallCycles);
-            args.set("input_stall", s.inputStallCycles);
-            args.set("struct_stall", s.structStallCycles);
-            args.set("compute", s.computeCycles);
-            break;
-          default:
-            break;
-        }
-        pushAsyncPair(events, s.trace, spanName(s), s.startUs, s.endUs,
-                      std::move(args));
-    }
-    spliceEvents(chrome_doc, std::move(events));
-}
-
-namespace {
-
+/** Append one b/e async pair per span of @p node's subtree. */
 void
 appendDocSpan(Json &events, TraceId trace, const Json &node)
 {
@@ -734,10 +670,19 @@ appendDocSpan(Json &events, TraceId trace, const Json &node)
             continue;
         args.set(key, value);
     }
-    pushAsyncPair(events, trace, node.find("name")->asString(),
-                  static_cast<uint64_t>(node.find("start_us")->asInt()),
-                  static_cast<uint64_t>(node.find("end_us")->asInt()),
-                  std::move(args));
+    for (const char *ph : {"b", "e"}) {
+        bool begin = ph[0] == 'b';
+        Json ev = Json::object();
+        ev.set("name", *node.find("name"));
+        ev.set("cat", "bw.span");
+        ev.set("ph", ph);
+        ev.set("id", std::to_string(trace));
+        ev.set("ts", *node.find(begin ? "start_us" : "end_us"));
+        ev.set("pid", 0);
+        if (begin)
+            ev.set("args", std::move(args));
+        events.push(std::move(ev));
+    }
     if (const Json *children = node.find("children")) {
         for (size_t i = 0; i < children->size(); ++i)
             appendDocSpan(events, trace, children->at(i));
@@ -753,6 +698,8 @@ appendSpanTreeDocEvents(Json &chrome_doc, const Json &span_doc)
     if (!st.ok())
         return st;
     Json events = Json::array();
+    if (const Json *existing = chrome_doc.find("traceEvents"))
+        events = *existing;
     const Json *traces = span_doc.find("traces");
     for (size_t i = 0; i < traces->size(); ++i) {
         const Json &tr = traces->at(i);
@@ -760,7 +707,7 @@ appendSpanTreeDocEvents(Json &chrome_doc, const Json &span_doc)
                       static_cast<TraceId>(tr.find("trace")->asInt()),
                       *tr.find("root"));
     }
-    spliceEvents(chrome_doc, std::move(events));
+    chrome_doc.set("traceEvents", std::move(events));
     return Status();
 }
 

@@ -42,6 +42,7 @@
 #define BW_OBS_SPAN_H
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/json.h"
@@ -296,6 +297,11 @@ struct SpanTree
  */
 void recordSpanTree(SpanTracer &tracer, const SpanTree &tree);
 
+/** recordSpanTree() into a vector: append the spans it would write
+ *  (leaves capped at @p max_chain_spans) to @p out, in order. */
+void appendSpanTree(std::vector<SpanRecord> &out, const SpanTree &tree,
+                    unsigned max_chain_spans);
+
 /**
  * Record the canonical request tree (an unrouted SpanTree without
  * chain leaves). An Ok or Error request records request + queue_wait +
@@ -320,13 +326,22 @@ void recordChainSpans(SpanTracer &tracer, TraceId trace, SpanId execute,
                       const std::vector<ChainProfile> &chains,
                       Cycles total_cycles);
 
+/** Takes one trace row and its span count; returns false to stop. */
+using SpanTraceRowFn = std::function<bool(Json &row, uint64_t spans)>;
+
 /**
- * Ordered span-tree JSON document: {schema: "bw.spans/1", spans,
- * dropped, traces: [{trace, root: {name, id, start_us, end_us, dur_us,
- * ..., children: [...]}}]}. Traces ascend by id, children by (start,
- * id); spans whose parent was lost to ring overwrite are dropped with
- * their trace marked incomplete. Deterministic for deterministic input.
+ * The bw.spans/1 row builder: group @p spans (any order) by trace and
+ * pass each trace's row {trace, [incomplete], root: {name, id,
+ * start_us, end_us, dur_us, ..., children: [...]}} to @p row, traces
+ * ascending, children by (start, id). Spans whose parent was lost to
+ * ring overwrite are dropped and their trace marked incomplete; a
+ * rootless trace renders no row. Returns the rootless-trace count.
  */
+uint64_t forEachSpanTraceRow(const std::vector<SpanRecord> &spans,
+                             const SpanTraceRowFn &row);
+
+/** The bw.spans/1 document: {schema, spans, dropped,
+ *  [incomplete_traces], traces: [forEachSpanTraceRow rows]}. */
 Json spanTreeJson(const std::vector<SpanRecord> &spans,
                   uint64_t dropped = 0);
 
@@ -334,29 +349,23 @@ Json spanTreeJson(const std::vector<SpanRecord> &spans,
 Json spanTreeJson(const SpanTracer &tracer);
 
 /**
- * Validate a spanTreeJson() document against the bw.spans/1 schema:
- * required members and types, request- or route-named roots (the
- * latter from the cluster front door), ids unique within a
- * trace, end >= start, dur consistent, every child interval inside its
- * parent. Returns OK or InvalidArgument naming the first violation.
+ * The bw.spans/1 row validator: a positive integer trace id and a
+ * request- or route-named root, ids unique within the trace, end >=
+ * start, dur consistent, every child interval inside its parent.
+ * Returns OK or InvalidArgument naming the first violation.
  */
+Status validateSpanTraceRow(const Json &row);
+
+/** Validate a bw.spans/1 document: schema tag, traces array and
+ *  validateSpanTraceRow on every row. */
 Status validateSpanTreeJson(const Json &doc);
 
 /**
- * Append the spans as Chrome async events ("ph":"b"/"e", cat
- * "bw.span", id = trace id) to @p chrome_doc's traceEvents — the
- * request waterfall then overlays the event-trace/counter timeline in
- * Perfetto. @p chrome_doc may be a chromeTraceJson() document or any
- * object with (or without) a traceEvents array.
- */
-void appendSpanEvents(Json &chrome_doc,
-                      const std::vector<SpanRecord> &spans);
-
-/**
- * As appendSpanEvents, but sourced from a spanTreeJson() document (the
- * on-disk export) — validates it first. Used by `bw_trace merge` to
- * fold a span export and an event-trace export into one
- * Perfetto-loadable file.
+ * Append a validated spanTreeJson() document as Chrome async events
+ * ("ph":"b"/"e", cat "bw.span", id = trace id) to @p chrome_doc's
+ * traceEvents (created when absent), so the request waterfall overlays
+ * the event-trace timeline in Perfetto. A rejected document leaves
+ * @p chrome_doc untouched.
  */
 Status appendSpanTreeDocEvents(Json &chrome_doc, const Json &span_doc);
 

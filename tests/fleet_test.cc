@@ -7,7 +7,10 @@
  * stitching, and the fast-tier fidelity audit.
  */
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -348,6 +351,161 @@ TEST(FlightStream, RoundTripsAndRejectsTruncation)
     std::string cut = out.substr(0, out.size() - 15);
     std::istringstream in2(cut);
     EXPECT_FALSE(obs::validateFlightStreamJson(in2).ok());
+}
+
+// --- One row validator per schema: document and stream agree ---
+
+namespace {
+
+/// A valid document and stream of one schema holding the same one row,
+/// with that schema's two validators.
+struct RowFixture
+{
+    std::string doc;
+    std::string stream;
+    std::function<Status(const Json &)> validateDoc;
+    std::function<Status(std::istream &)> validateStream;
+};
+
+RowFixture
+rowFixture(const std::string &schema)
+{
+    RowFixture f;
+    if (schema == "route") {
+        f.doc = "{\"schema\":\"bw.route/1\",\"policy\":\"least_loaded\","
+                "\"engines\":3,\"routed\":1,\"shed\":0,\"unavailable\":0,"
+                "\"log_dropped\":0,\"shed_by_class\":[0,0,0],"
+                "\"decisions\":[{\"seq\":1,\"model\":0,\"class\":0,"
+                "\"engine\":2}]}";
+        obs::RouteStreamWriter w(appendTo(f.stream), "least_loaded", 3, 3);
+        w.decision(1, 0, 0, 2);
+        w.finish();
+        f.validateDoc = validateRouteJson;
+        f.validateStream = obs::validateRouteStreamJson;
+    } else if (schema == "span") {
+        // request 100-200: queue_wait 100-150, dispatch 150-160,
+        // execute 160-200.
+        obs::SpanTracer tracer;
+        obs::SpanTree tree;
+        tree.trace = 7;
+        obs::RequestSpans &rq = tree.attempt[0].request;
+        rq.admitUs = 100;
+        rq.dequeueUs = 150;
+        rq.serviceUs = 160;
+        rq.doneUs = 200;
+        obs::recordSpanTree(tracer, tree);
+        f.doc = obs::spanTreeJson(tracer).dump();
+        obs::streamSpanTreesNdjson(tracer, appendTo(f.stream));
+        f.validateDoc = obs::validateSpanTreeJson;
+        f.validateStream = obs::validateSpanStreamJson;
+    } else {
+        // seq 3: queue_wait 100-110, dispatch 110-110, execute 110-150.
+        obs::FlightRecorder rec;
+        obs::FlightRecord fr;
+        fr.seq = fr.id = 3;
+        fr.admitUs = 100;
+        fr.dequeueUs = fr.serviceUs = 110;
+        fr.doneUs = 150;
+        fr.latencyUs = 50;
+        rec.record(fr);
+        f.doc = obs::flightJson(rec).dump();
+        obs::streamFlightNdjson(rec, appendTo(f.stream));
+        f.validateDoc = obs::validateFlightJson;
+        f.validateStream = obs::validateFlightStreamJson;
+    }
+    return f;
+}
+
+/// Replace the first @p from in @p text with @p to; false when absent.
+bool
+editRow(std::string &text, const std::string &from, const std::string &to)
+{
+    size_t pos = text.find(from);
+    if (pos == std::string::npos)
+        return false;
+    text.replace(pos, from.size(), to);
+    return true;
+}
+
+Status
+validateStreamText(const RowFixture &f, const std::string &text)
+{
+    std::istringstream in(text);
+    return f.validateStream(in);
+}
+
+} // namespace
+
+TEST(RowValidators, MalformedRowRejectedAsDocumentAndAsStream)
+{
+    struct Case
+    {
+        const char *schema;
+        const char *what;
+        const char *from; //!< text of the fixture's valid row...
+        const char *to;   //!< ...and its malformed replacement
+    };
+    const Case cases[] = {
+        {"span", "dur_us mismatch", "\"dur_us\":50", "\"dur_us\":49"},
+        {"span", "duplicate span id", "\"id\":2", "\"id\":3"},
+        {"span", "child escapes its parent",
+         "\"start_us\":160,\"end_us\":200,\"dur_us\":40",
+         "\"start_us\":160,\"end_us\":260,\"dur_us\":100"},
+        {"flight", "unknown class", "\"class\":\"ok\"",
+         "\"class\":\"bogus\""},
+        {"flight", "negative latency_us", "\"latency_us\":50",
+         "\"latency_us\":-5"},
+        {"flight", "embedded spans document invalid",
+         "\"dur_us\":40", "\"dur_us\":41"},
+        {"flight", "embedded spans document schema",
+         "\"spans\":{\"schema\":\"bw.spans/1\"",
+         "\"spans\":{\"schema\":\"bw.spans/2\""},
+        {"flight", "embedded trace is not the seq", "\"trace\":3",
+         "\"trace\":4"},
+        {"route", "string field", "\"model\":0", "\"model\":\"0\""},
+        {"route", "fractional field", "\"class\":0", "\"class\":0.5"},
+        {"route", "engine above range", "\"engine\":2", "\"engine\":3"},
+        {"route", "engine below range", "\"engine\":2", "\"engine\":-3"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.schema) + ": " + c.what);
+        RowFixture f = rowFixture(c.schema);
+        Status st = f.validateDoc(Json::parse(f.doc));
+        ASSERT_TRUE(st.ok()) << st.toString();
+        st = validateStreamText(f, f.stream);
+        ASSERT_TRUE(st.ok()) << st.toString();
+
+        ASSERT_TRUE(editRow(f.doc, c.from, c.to));
+        ASSERT_TRUE(editRow(f.stream, c.from, c.to));
+        EXPECT_FALSE(f.validateDoc(Json::parse(f.doc)).ok());
+        EXPECT_FALSE(validateStreamText(f, f.stream).ok());
+    }
+}
+
+TEST(RowValidators, ValidateStreamFileDispatchesOnSchemaTag)
+{
+    std::string dir = testing::TempDir();
+    auto write = [&](const std::string &name, const std::string &text) {
+        std::string path = dir + "/bw_fleet_test_" + name;
+        std::ofstream(path) << text;
+        return path;
+    };
+    for (const char *schema : {"route", "span", "flight"}) {
+        std::string path = write(std::string(schema) + ".ndjson",
+                                 rowFixture(schema).stream);
+        Status st = obs::validateStreamFile(path);
+        EXPECT_TRUE(st.ok()) << schema << ": " << st.toString();
+        std::remove(path.c_str());
+    }
+    std::string span = rowFixture("span").stream;
+    ASSERT_TRUE(editRow(span, "bw.spanstream/1", "bw.bogusstream/1"));
+    std::string unknown = write("unknown.ndjson", span);
+    std::string empty = write("empty.ndjson", "");
+    EXPECT_FALSE(obs::validateStreamFile(unknown).ok());
+    EXPECT_FALSE(obs::validateStreamFile(empty).ok());
+    EXPECT_FALSE(obs::validateStreamFile(dir + "/bw_fleet_test_absent").ok());
+    std::remove(unknown.c_str());
+    std::remove(empty.c_str());
 }
 
 // --- Cluster wiring: federation determinism, stitching, streaming
