@@ -166,6 +166,26 @@ TEST(FleetRegistry, SloRollupSumsShardsAndValidates)
     EXPECT_EQ(roll.dump(), fleet.sloRollupJson().dump());
 }
 
+TEST(FleetRegistry, SingleShardRollupIsTheShardDocumentPlusShards)
+{
+    // One bw.slo/1 writer: a one-shard rollup is that shard's own
+    // document byte for byte, plus the "shards" member.
+    serve::SloMonitor m;
+    for (int i = 0; i < 60; ++i) {
+        double deadline = i % 3 == 0 ? 10.0 : i % 3 == 1 ? 80.0 : 0.0;
+        m.record(1000000 + i * 70000, deadline, i % 2 ? 70.0 : 1.0,
+                 i % 5 != 0);
+    }
+    obs::FleetRegistry fleet;
+    fleet.addShard("s10/0", "s10", nullptr, &m);
+
+    std::string shard = m.sloJson().dump();
+    size_t at = shard.find(",\"classes\":");
+    ASSERT_NE(at, std::string::npos);
+    shard.insert(at, ",\"shards\":1");
+    EXPECT_EQ(fleet.sloRollupJson().dump(), shard);
+}
+
 // --- Streaming exports ---
 
 TEST(RouteStream, WriterRoundTripsThroughValidator)
