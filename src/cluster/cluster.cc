@@ -362,6 +362,25 @@ Cluster::engine(unsigned engine)
     return *shards_[engine]->engine;
 }
 
+uint32_t
+Cluster::registerModel(ModelEntry e)
+{
+    if (opts_.metricsRegistry) {
+        e.requests = &opts_.metricsRegistry->counter(
+            "bw_cluster_requests_total",
+            "Requests submitted per resident model", {{"model", e.name}});
+    }
+    models_.push_back(std::move(e));
+    uint32_t id = static_cast<uint32_t>(models_.size() - 1);
+    if (modelsGauge_)
+        modelsGauge_->set(static_cast<double>(models_.size()));
+    if (opts_.warmStart) {
+        for (auto &s : shards_)
+            s->cache.preload(id, modelTiles(id, s->group));
+    }
+    return id;
+}
+
 Expected<uint32_t>
 Cluster::addModel(const std::string &name, const GirGraph &graph)
 {
@@ -377,20 +396,7 @@ Cluster::addModel(const std::string &name, const GirGraph &graph)
                 name.c_str(), opts_.groups[gi].name.c_str(), ex.what()));
         }
     }
-    if (opts_.metricsRegistry) {
-        e.requests = &opts_.metricsRegistry->counter(
-            "bw_cluster_requests_total",
-            "Requests submitted per resident model", {{"model", name}});
-    }
-    models_.push_back(std::move(e));
-    uint32_t id = static_cast<uint32_t>(models_.size() - 1);
-    if (modelsGauge_)
-        modelsGauge_->set(static_cast<double>(models_.size()));
-    if (opts_.warmStart) {
-        for (auto &s : shards_)
-            s->cache.preload(id, modelTiles(id, s->group));
-    }
-    return id;
+    return registerModel(std::move(e));
 }
 
 uint32_t
@@ -404,20 +410,7 @@ Cluster::addTimedModel(const std::string &name, double service_ms,
     e.timed = true;
     e.timedMs = service_ms;
     e.timedTiles = weight_tiles;
-    if (opts_.metricsRegistry) {
-        e.requests = &opts_.metricsRegistry->counter(
-            "bw_cluster_requests_total",
-            "Requests submitted per resident model", {{"model", name}});
-    }
-    models_.push_back(std::move(e));
-    uint32_t id = static_cast<uint32_t>(models_.size() - 1);
-    if (modelsGauge_)
-        modelsGauge_->set(static_cast<double>(models_.size()));
-    if (opts_.warmStart) {
-        for (auto &s : shards_)
-            s->cache.preload(id, modelTiles(id, s->group));
-    }
-    return id;
+    return registerModel(std::move(e));
 }
 
 const std::string &
@@ -634,13 +627,14 @@ Cluster::LatencySketch::fill(ServeStats &stats) const
 
 // --- Replay ---
 
-void
-Cluster::replayReset()
+Cluster::ReplayPass
+Cluster::replayReset(bool streaming)
 {
     // Full virtual reset: every observer restarts with the trace, so
     // two replays of one trace export byte-identically. The cluster
     // registry's counters and the audit totals are cumulative across
     // replays by design, like any production Prometheus counter.
+    BW_ASSERT(!models_.empty(), "replay: no models registered");
     router_->clear();
     clsMonitor_.clear();
     if (opts_.spanTracer)
@@ -738,6 +732,10 @@ Cluster::replayReset()
                 return a.phase < b.phase;
             });
     }
+    ReplayPass rp;
+    rp.streaming = streaming;
+    rp.cs.shedByClass.assign(clsMonitor_.options().classes.size(), 0);
+    return rp;
 }
 
 // --- Chaos plane ---
@@ -823,12 +821,10 @@ Cluster::applyTransition(const ChaosTransition &tr)
         double ms = rewarmMs_[tr.shard];
         s.reloadedTiles += tiles;
         s.reloadMsTotal += ms;
-        if (!shardMetrics_.empty())
-            shardMetrics_[tr.shard].reloadUs->add(
-                static_cast<uint64_t>(std::llround(ms * 1e3)));
-        incidents_.setReload(
-            cc.incident, tiles,
-            static_cast<uint64_t>(std::llround(ms * 1e3)));
+        uint64_t us = static_cast<uint64_t>(std::llround(ms * 1e3));
+        if (ShardMetrics *sm = shardMetrics(tr.shard))
+            sm->reloadUs->add(us);
+        incidents_.setReload(cc.incident, tiles, us);
         setHealthGauge(tr.shard, 4.0);
         break;
     }
@@ -845,10 +841,7 @@ Cluster::applyTransition(const ChaosTransition &tr)
 ClusterStats
 Cluster::replay(const std::vector<ClusterRequest> &trace)
 {
-    BW_ASSERT(!models_.empty(), "replay: no models registered");
-    replayReset();
-    ReplayPass rp;
-    rp.cs.shedByClass.assign(clsMonitor_.options().classes.size(), 0);
+    ReplayPass rp = replayReset(false);
     for (const ClusterRequest &req : trace)
         replayOne(req, rp);
     return replayFinish(rp);
@@ -857,11 +850,7 @@ Cluster::replay(const std::vector<ClusterRequest> &trace)
 ClusterStats
 Cluster::replayStream(const std::function<bool(ClusterRequest *)> &next)
 {
-    BW_ASSERT(!models_.empty(), "replay: no models registered");
-    replayReset();
-    ReplayPass rp;
-    rp.streaming = true;
-    rp.cs.shedByClass.assign(clsMonitor_.options().classes.size(), 0);
+    ReplayPass rp = replayReset(true);
     ClusterRequest req;
     while (next(&req))
         replayOne(req, rp);
@@ -913,13 +902,38 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
 
 // --- Dispatch (replay) ---
 
+double
+Cluster::chargeWeights(unsigned shard, uint32_t model)
+{
+    Shard &s = *shards_[shard];
+    ShardMetrics *sm = shardMetrics(shard);
+    WeightTouch wt = s.cache.touch(model, modelTiles(model, s.group));
+    if (wt.hit) {
+        if (sm)
+            sm->cacheHits->inc();
+        return 0.0;
+    }
+    // The DRAM traffic happens even if this attempt later loses the
+    // hedge race — reload charges are never rolled back.
+    double reload_ms = reloadMs(s.group, wt.loadedTiles);
+    s.reloadedTiles += wt.loadedTiles;
+    s.reloadMsTotal += reload_ms;
+    if (sm) {
+        sm->cacheMisses->inc();
+        if (wt.evictions)
+            sm->cacheEvictions->add(wt.evictions);
+        sm->reloadUs->add(
+            static_cast<uint64_t>(std::llround(reload_ms * 1e3)));
+    }
+    return reload_ms;
+}
+
 Cluster::Attempt
 Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
                     ReplayPass &rp)
 {
     Shard &s = *shards_[shard];
-    ShardMetrics *sm =
-        shardMetrics_.empty() ? nullptr : &shardMetrics_[shard];
+    ShardMetrics *sm = shardMetrics(shard);
     const serve::EngineOptions &eo = s.engine->options();
     Attempt at;
     at.shard = shard;
@@ -987,27 +1001,7 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
         return at;
     }
 
-    uint64_t tiles = modelTiles(req.model, s.group);
-    WeightTouch wt = s.cache.touch(req.model, tiles);
-    double reload_ms = 0;
-    if (wt.hit) {
-        if (sm)
-            sm->cacheHits->inc();
-    } else {
-        // The DRAM traffic happens even if this attempt later loses
-        // the hedge race — reload charges are never rolled back.
-        reload_ms = reloadMs(s.group, wt.loadedTiles);
-        s.reloadedTiles += wt.loadedTiles;
-        s.reloadMsTotal += reload_ms;
-        if (sm) {
-            sm->cacheMisses->inc();
-            if (wt.evictions)
-                sm->cacheEvictions->add(wt.evictions);
-            sm->reloadUs->add(
-                static_cast<uint64_t>(std::llround(reload_ms * 1e3)));
-        }
-    }
-
+    double reload_ms = chargeWeights(shard, req.model);
     double net_s = eo.networkMs / 1e3;
     at.slot = s.queue.reserve(t, net_s);
     at.reserved = true;
@@ -1127,18 +1121,8 @@ Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
     bool hedged = false;
     if (wantHedge) {
         double t_h = a + std::max(0.0, opts_.hedgeMs) / 1e3;
-        const std::vector<EngineLoad> &loads = virtualLoads(t_h);
-        int32_t alt = -1;
-        uint64_t best = UINT64_MAX;
-        for (size_t e = 0; e < loads.size(); ++e) {
-            if (e == primary || !loads[e].healthy)
-                continue;
-            uint64_t occ = loads[e].queued + loads[e].inflight;
-            if (occ < best) { // strict: ties go to the lowest index
-                best = occ;
-                alt = static_cast<int32_t>(e);
-            }
-        }
+        int32_t alt = leastLoaded(virtualLoads(t_h),
+                                  static_cast<int32_t>(primary));
         if (alt >= 0) {
             hedged = true;
             ++cs.hedged;
@@ -1202,8 +1186,7 @@ Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
 
     // Cluster-level accounting from the winner only — the caller saw
     // exactly one outcome. (Per-shard reports count every attempt.)
-    ShardMetrics *wsm =
-        shardMetrics_.empty() ? nullptr : &shardMetrics_[w.shard];
+    ShardMetrics *wsm = shardMetrics(w.shard);
     uint64_t admit_us = toUs(a);
     switch (w.kind) {
     case Attempt::Kind::Completed: {
@@ -1471,6 +1454,21 @@ Cluster::start()
 }
 
 Expected<std::future<serve::Response>>
+Cluster::submitTo(unsigned shard, uint32_t model,
+                  const serve::Request &req)
+{
+    Shard &s = *shards_[shard];
+    if (ShardMetrics *sm = shardMetrics(shard))
+        sm->routed->inc();
+    double reload_ms = chargeWeights(shard, model);
+    double base_ms = req.serviceMsOverride > 0
+                         ? req.serviceMsOverride
+                         : modelServiceMs(model, s.group, req.steps);
+    return s.engine->submit(serve::Request::timed(
+        req.steps, req.deadlineMs, base_ms + reload_ms));
+}
+
+Expected<std::future<serve::Response>>
 Cluster::submit(uint32_t model, serve::Request req)
 {
     if (!req.inputs.empty()) {
@@ -1478,8 +1476,6 @@ Cluster::submit(uint32_t model, serve::Request req)
             "cluster requests are timed; functional inputs are served "
             "through a Session, not the cluster front door");
     }
-    unsigned steps = req.steps;
-    double deadline_ms = req.deadlineMs;
     if (model >= models_.size()) {
         return Status::invalidArgument(
             detail::format("unknown model id %u (have %zu)", model,
@@ -1491,7 +1487,7 @@ Cluster::submit(uint32_t model, serve::Request req)
     if (me.requests)
         me.requests->inc();
     uint32_t cls =
-        static_cast<uint32_t>(clsMonitor_.classOf(deadline_ms));
+        static_cast<uint32_t>(clsMonitor_.classOf(req.deadlineMs));
     int32_t target =
         router_->route(liveSeq_, model, me.name, cls, liveLoads());
     if (target == -2) {
@@ -1509,129 +1505,54 @@ Cluster::submit(uint32_t model, serve::Request req)
             classes[std::min<size_t>(cls, classes.size() - 1)]
                 .name.c_str()));
     }
-    Shard &s = *shards_[static_cast<size_t>(target)];
-    ShardMetrics *sm = shardMetrics_.empty()
-                           ? nullptr
-                           : &shardMetrics_[static_cast<size_t>(target)];
-    if (sm)
-        sm->routed->inc();
-    uint64_t tiles = modelTiles(model, s.group);
-    WeightTouch wt = s.cache.touch(model, tiles);
-    double reload_ms = 0;
-    if (wt.hit) {
-        if (sm)
-            sm->cacheHits->inc();
-    } else {
-        reload_ms = reloadMs(s.group, wt.loadedTiles);
-        if (sm) {
-            sm->cacheMisses->inc();
-            if (wt.evictions)
-                sm->cacheEvictions->add(wt.evictions);
-            sm->reloadUs->add(
-                static_cast<uint64_t>(std::llround(reload_ms * 1e3)));
-        }
-    }
-    double base_ms = req.serviceMsOverride > 0
-                         ? req.serviceMsOverride
-                         : modelServiceMs(model, s.group, steps);
-    double service_ms = base_ms + reload_ms;
-    Expected<std::future<serve::Response>> primary = s.engine->submit(
-        serve::Request::timed(steps, deadline_ms, service_ms));
+    Expected<std::future<serve::Response>> primary =
+        submitTo(static_cast<unsigned>(target), model, req);
     if (opts_.hedgeMs < 0 || !primary.ok())
         return primary;
 
-    // Hedged duplicate dispatch: tie the request to the least-loaded
-    // other healthy shard and let the first response win. Live
-    // cancellation is advisory — the loser's service still completes
-    // on its engine (and shows in that shard's series); the caller
-    // only ever sees the winner.
-    std::vector<EngineLoad> loads = liveLoads();
-    int32_t alt = -1;
-    uint64_t best = UINT64_MAX;
-    for (size_t e = 0; e < loads.size(); ++e) {
-        if (e == static_cast<size_t>(target) || !loads[e].healthy)
-            continue;
-        uint64_t occ = loads[e].queued + loads[e].inflight;
-        if (occ < best) {
-            best = occ;
-            alt = static_cast<int32_t>(e);
-        }
-    }
+    // Hedge to the least-loaded other healthy shard; like every
+    // attempt it counts when dispatched, even if its engine refuses
+    // it. Cancellation is advisory: the loser still completes on its
+    // engine (and shows in that shard's series).
+    int32_t alt = leastLoaded(liveLoads(), target);
     if (alt < 0)
         return primary;
-    Shard &hs = *shards_[static_cast<size_t>(alt)];
-    ShardMetrics *hsm = shardMetrics_.empty()
-                            ? nullptr
-                            : &shardMetrics_[static_cast<size_t>(alt)];
-    uint64_t h_tiles = modelTiles(model, hs.group);
-    WeightTouch hwt = hs.cache.touch(model, h_tiles);
-    double h_reload_ms = 0;
-    if (hwt.hit) {
-        if (hsm)
-            hsm->cacheHits->inc();
-    } else {
-        h_reload_ms = reloadMs(hs.group, hwt.loadedTiles);
-        if (hsm) {
-            hsm->cacheMisses->inc();
-            if (hwt.evictions)
-                hsm->cacheEvictions->add(hwt.evictions);
-            hsm->reloadUs->add(static_cast<uint64_t>(
-                std::llround(h_reload_ms * 1e3)));
-        }
-    }
-    double h_base_ms = req.serviceMsOverride > 0
-                           ? req.serviceMsOverride
-                           : modelServiceMs(model, hs.group, steps);
-    Expected<std::future<serve::Response>> hedge =
-        hs.engine->submit(serve::Request::timed(
-            steps, deadline_ms, h_base_ms + h_reload_ms));
-    if (!hedge.ok())
-        return primary;
-    if (hsm)
-        hsm->routed->inc();
     if (hedgeAttemptsC_)
         hedgeAttemptsC_->inc();
+    Expected<std::future<serve::Response>> hedge =
+        submitTo(static_cast<unsigned>(alt), model, req);
+    if (!hedge.ok())
+        return primary;
 
-    std::future<serve::Response> f1 = std::move(primary.value());
-    std::future<serve::Response> f2 = std::move(hedge.value());
+    std::array<std::future<serve::Response>, 2> f{
+        std::move(primary.value()), std::move(hedge.value())};
     return std::async(
-        std::launch::deferred,
-        [this, f1 = std::move(f1), f2 = std::move(f2)]() mutable {
-            // First-wins poll over both futures; a successful response
-            // beats a failed one regardless of arrival order.
-            while (true) {
-                if (f1.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready) {
-                    serve::Response r1 = f1.get();
-                    if (r1.status.ok()) {
-                        if (hedgeCancelledC_)
-                            hedgeCancelledC_->inc();
-                        return r1;
-                    }
-                    serve::Response r2 = f2.get();
-                    if (r2.status.ok()) {
-                        if (hedgeWinsC_)
-                            hedgeWinsC_->inc();
-                        return r2;
-                    }
-                    return r1;
-                }
-                if (f2.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready) {
-                    serve::Response r2 = f2.get();
-                    if (r2.status.ok()) {
-                        if (hedgeWinsC_)
-                            hedgeWinsC_->inc();
-                        if (hedgeCancelledC_)
-                            hedgeCancelledC_->inc();
-                        return r2;
-                    }
-                    serve::Response r1 = f1.get();
-                    return r1;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(50));
+        std::launch::deferred, [this, f = std::move(f)]() mutable {
+            // First-wins poll in readiness order, the primary checked
+            // first. An OK first response wins and cancels the other;
+            // otherwise the other is awaited and wins if OK, and when
+            // both fail the caller gets the primary's response.
+            size_t first = 0;
+            while (f[first].wait_for(std::chrono::seconds(0)) !=
+                   std::future_status::ready) {
+                if (first == 1)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(50));
+                first ^= 1;
             }
+            serve::Response r[2];
+            r[first] = f[first].get();
+            bool cancelled = r[first].status.ok();
+            size_t win = first;
+            if (!cancelled) {
+                r[first ^ 1] = f[first ^ 1].get();
+                win = r[first ^ 1].status.ok() ? first ^ 1 : 0;
+            }
+            if (win == 1 && hedgeWinsC_)
+                hedgeWinsC_->inc();
+            if (cancelled && hedgeCancelledC_)
+                hedgeCancelledC_->inc();
+            return std::move(r[win]);
         });
 }
 

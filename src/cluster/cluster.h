@@ -523,16 +523,27 @@ class Cluster
         metrics::Counter *reloadUs = nullptr;
     };
 
+    /** Shard @p shard's cluster-registry counters; nullptr when no
+     *  registry is bound. */
+    ShardMetrics *shardMetrics(size_t shard)
+    {
+        return shardMetrics_.empty() ? nullptr : &shardMetrics_[shard];
+    }
+
     /** Every shard's virtual-time load at @p now_s, filled into the
      *  reused loads_ buffer (valid until the next call). */
     const std::vector<EngineLoad> &virtualLoads(double now_s);
     std::vector<EngineLoad> liveLoads() const;
+    /** Append a model: its request counter, the model gauge and, on
+     *  warm start, every shard's cache. Returns the model id. */
+    uint32_t registerModel(ModelEntry e);
     void warmCaches();
     void bindClusterMetrics();
     metrics::Counter *shedCounter(uint32_t cls);
 
     // Replay decomposition shared by replay() and replayStream().
-    void replayReset();
+    /** Reset every replay observer and start a pass. */
+    ReplayPass replayReset(bool streaming);
     void replayOne(const ClusterRequest &req, ReplayPass &rp);
     ClusterStats replayFinish(ReplayPass &rp);
 
@@ -604,8 +615,20 @@ class Cluster
     void applyTransition(const ChaosTransition &tr);
     void setHealthGauge(size_t shard, double state);
     metrics::Counter *failCounter(size_t shard, FaultClass cls);
+    /** Touch @p model in @p shard's weight cache and charge a miss:
+     *  the hit/miss/eviction/reload-µs counters and the shard's reload
+     *  accumulators. Returns the reload ms the attempt's service pays
+     *  (0 on a hit). The one weight charge of replay and live attempts;
+     *  replayReset zeroes what live attempts add. */
+    double chargeWeights(unsigned shard, uint32_t model);
+    /** One live attempt on @p shard, in order: count it routed,
+     *  charge weights, price the service (the request's override or
+     *  the model's) and submit it to the shard's engine. The primary
+     *  and the hedge of Cluster::submit both go through it. */
+    Expected<std::future<serve::Response>>
+    submitTo(unsigned shard, uint32_t model, const serve::Request &req);
     /** Run one dispatch attempt against @p shard at virtual time
-     *  @p t: fault effects, admission, weight cache, queue slot and
+     *  @p t: fault effects, admission, weight charge, queue slot and
      *  service — the only code that charges them. Commits shard state
      *  and per-shard counters; records nothing else. */
     Attempt runAttempt(unsigned shard, double t,

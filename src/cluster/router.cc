@@ -110,13 +110,14 @@ Router::shedThreshold(uint32_t cls) const
 }
 
 int32_t
-Router::leastLoaded(const std::vector<EngineLoad> &loads) const
+leastLoaded(const std::vector<EngineLoad> &loads, int32_t exclude)
 {
     uint64_t best = UINT64_MAX;
     int32_t pick = -2; // no healthy engine
     for (size_t e = 0; e < loads.size(); ++e) {
-        if (!loads[e].healthy)
-            continue; // evicted shards take no new work
+        // Evicted shards take no new work; a hedge avoids its primary.
+        if (!loads[e].healthy || static_cast<int32_t>(e) == exclude)
+            continue;
         uint64_t occ = loads[e].queued + loads[e].inflight;
         if (occ < best) { // strict: ties go to the lowest index
             best = occ;

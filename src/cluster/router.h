@@ -91,6 +91,16 @@ struct EngineLoad
     bool healthy = true;
 };
 
+/**
+ * The one least-occupancy pick: the healthy engine with the fewest
+ * queued + in-flight requests, ties to the lowest index, skipping
+ * engine @p exclude (a hedge's primary; -1 skips none). Returns -2 when
+ * no candidate is healthy. The least_loaded and slo_aware policies and
+ * the replay and live hedge targets all pick through it.
+ */
+int32_t leastLoaded(const std::vector<EngineLoad> &loads,
+                    int32_t exclude = -1);
+
 /** One logged routing decision. */
 struct RouteDecision
 {
@@ -176,7 +186,6 @@ class Router
         uint32_t engine;
     };
 
-    int32_t leastLoaded(const std::vector<EngineLoad> &loads) const;
     int32_t ringWalk(const std::string &model_name,
                      const std::vector<EngineLoad> &loads) const;
 

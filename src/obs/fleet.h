@@ -105,9 +105,10 @@ class FleetRegistry
      * Fleet SLO rollup, schema bw.slo/1 (validateSloJson-clean):
      * per-class lifetime counters and window good/bad sums across every
      * registered shard monitor, with bad_fraction, burn_rate and the
-     * multi-window firing flag recomputed on the aggregate. Objectives,
-     * windows and the class ladder come from the first shard monitor
-     * (the cluster shares one SloOptions across shards).
+     * multi-window firing flag recomputed on the aggregate, written by
+     * the shard monitors' own serve::sloDocument plus a "shards" member.
+     * Objectives, windows and the class ladder come from the first
+     * shard monitor (the cluster shares one SloOptions across shards).
      * evaluated_at_us is the fleet-wide high-water mark.
      */
     Json sloRollupJson() const;

@@ -152,13 +152,12 @@ SloMonitor::record(uint64_t t_us, double deadline_ms, double latency_ms,
     sawRecord_ = true;
 }
 
-SloWindowEval
-SloMonitor::evalWindow(const ClassState &cs, uint64_t window_us,
-                       bool latency, double objective) const
+void
+SloMonitor::countWindow(const ClassState &cs, uint64_t window_us,
+                        SloWindowEval &lat, SloWindowEval &avail) const
 {
-    SloWindowEval ev;
     if (!sawRecord_)
-        return ev;
+        return;
     uint64_t high_bucket = highWaterUs_ / opts_.bucketUs;
     uint64_t span = std::max<uint64_t>(1, window_us / opts_.bucketUs);
     uint64_t first =
@@ -168,17 +167,32 @@ SloMonitor::evalWindow(const ClassState &cs, uint64_t window_us,
         if (tag == ~0ull || tag < first || tag > high_bucket)
             continue;
         const Bucket &b = cs.ring[slot];
-        ev.good += latency ? b.latGood : b.availGood;
-        ev.bad += latency ? b.latBad : b.availBad;
+        lat.good += b.latGood;
+        lat.bad += b.latBad;
+        avail.good += b.availGood;
+        avail.bad += b.availBad;
     }
-    uint64_t total = ev.good + ev.bad;
-    ev.badFraction =
-        total > 0 ? static_cast<double>(ev.bad) /
-                        static_cast<double>(total)
-                  : 0.0;
-    double budget = 1.0 - objective;
-    ev.burnRate = budget > 0 ? ev.badFraction / budget : 0.0;
-    return ev;
+}
+
+void
+finishSloClassEval(SloClassEval &ev, const SloOptions &opts)
+{
+    auto finish = [](SloWindowEval &w, double objective) {
+        uint64_t total = w.good + w.bad;
+        w.badFraction = total > 0 ? static_cast<double>(w.bad) /
+                                        static_cast<double>(total)
+                                  : 0.0;
+        double budget = 1.0 - objective;
+        w.burnRate = budget > 0 ? w.badFraction / budget : 0.0;
+    };
+    finish(ev.latencyFast, opts.latencyObjective);
+    finish(ev.latencySlow, opts.latencyObjective);
+    finish(ev.availFast, opts.availabilityObjective);
+    finish(ev.availSlow, opts.availabilityObjective);
+    ev.latencyFiring = ev.latencyFast.burnRate > opts.pageBurnRate &&
+                       ev.latencySlow.burnRate > opts.pageBurnRate;
+    ev.availabilityFiring = ev.availFast.burnRate > opts.pageBurnRate &&
+                            ev.availSlow.burnRate > opts.pageBurnRate;
 }
 
 std::vector<SloClassEval>
@@ -193,20 +207,9 @@ SloMonitor::snapshotLocked() const
         ev.requests = cs.requests;
         ev.latencyBreaches = cs.latencyBreaches;
         ev.availabilityBreaches = cs.availabilityBreaches;
-        ev.latencyFast = evalWindow(cs, opts_.fastWindowUs, true,
-                                    opts_.latencyObjective);
-        ev.latencySlow = evalWindow(cs, opts_.slowWindowUs, true,
-                                    opts_.latencyObjective);
-        ev.availFast = evalWindow(cs, opts_.fastWindowUs, false,
-                                  opts_.availabilityObjective);
-        ev.availSlow = evalWindow(cs, opts_.slowWindowUs, false,
-                                  opts_.availabilityObjective);
-        ev.latencyFiring =
-            ev.latencyFast.burnRate > opts_.pageBurnRate &&
-            ev.latencySlow.burnRate > opts_.pageBurnRate;
-        ev.availabilityFiring =
-            ev.availFast.burnRate > opts_.pageBurnRate &&
-            ev.availSlow.burnRate > opts_.pageBurnRate;
+        countWindow(cs, opts_.fastWindowUs, ev.latencyFast, ev.availFast);
+        countWindow(cs, opts_.slowWindowUs, ev.latencySlow, ev.availSlow);
+        finishSloClassEval(ev, opts_);
         out.push_back(std::move(ev));
     }
     return out;
@@ -253,30 +256,76 @@ SloMonitor::clear()
 
 namespace {
 
+/// One SLI's member: both window evaluations plus the firing flag.
 Json
-windowJson(const SloWindowEval &ev)
+sliJson(const SloWindowEval &fast, const SloWindowEval &slow, bool firing)
 {
-    Json j = Json::object();
-    j.set("good", ev.good);
-    j.set("bad", ev.bad);
-    j.set("bad_fraction", ev.badFraction);
-    j.set("burn_rate", ev.burnRate);
-    return j;
+    Json sli = Json::object();
+    for (const auto &[key, w] :
+         {std::pair{"fast", &fast}, std::pair{"slow", &slow}}) {
+        Json j = Json::object();
+        j.set("good", w->good);
+        j.set("bad", w->bad);
+        j.set("bad_fraction", w->badFraction);
+        j.set("burn_rate", w->burnRate);
+        sli.set(key, std::move(j));
+    }
+    sli.set("firing", firing);
+    return sli;
 }
 
 } // namespace
+
+Json
+sloDocument(const SloOptions &opts, const std::vector<SloClassEval> &evals,
+            uint64_t evaluated_at_us, uint64_t shards)
+{
+    Json doc = Json::object();
+    doc.set("schema", kSchema);
+    Json obj = Json::object();
+    obj.set("latency", opts.latencyObjective);
+    obj.set("availability", opts.availabilityObjective);
+    doc.set("objectives", std::move(obj));
+    Json win = Json::object();
+    win.set("fast_us", opts.fastWindowUs);
+    win.set("slow_us", opts.slowWindowUs);
+    win.set("bucket_us", opts.bucketUs);
+    doc.set("windows", std::move(win));
+    doc.set("page_burn_rate", opts.pageBurnRate);
+    doc.set("evaluated_at_us", evaluated_at_us);
+    if (shards > 0)
+        doc.set("shards", shards);
+
+    Json classes = Json::array();
+    for (size_t c = 0; c < evals.size(); ++c) {
+        const SloClassEval &ev = evals[c];
+        Json j = Json::object();
+        j.set("name", ev.name);
+        if (opts.classes[c].maxDeadlineMs > 0)
+            j.set("max_deadline_ms", opts.classes[c].maxDeadlineMs);
+        j.set("latency_target_ms", opts.classes[c].latencyTargetMs);
+        j.set("requests", ev.requests);
+        j.set("latency_breaches", ev.latencyBreaches);
+        j.set("availability_breaches", ev.availabilityBreaches);
+        j.set("latency",
+              sliJson(ev.latencyFast, ev.latencySlow, ev.latencyFiring));
+        j.set("availability",
+              sliJson(ev.availFast, ev.availSlow, ev.availabilityFiring));
+        classes.push(std::move(j));
+    }
+    doc.set("classes", std::move(classes));
+    return doc;
+}
 
 Json
 SloMonitor::sloJson() const
 {
     std::vector<SloClassEval> evals;
     uint64_t high_us;
-    bool saw;
     {
         std::lock_guard<std::mutex> lk(mu_);
         evals = snapshotLocked();
-        high_us = highWaterUs_;
-        saw = sawRecord_;
+        high_us = sawRecord_ ? highWaterUs_ : 0;
     }
 
     // Refresh the bound burn-rate gauges from this evaluation (the
@@ -286,79 +335,38 @@ SloMonitor::sloJson() const
             const struct
             {
                 const char *slo;
-                const char *window;
-                const SloWindowEval *w;
-            } gauges[] = {
-                {"latency", "fast", &ev.latencyFast},
-                {"latency", "slow", &ev.latencySlow},
-                {"availability", "fast", &ev.availFast},
-                {"availability", "slow", &ev.availSlow},
+                const SloWindowEval *fast, *slow;
+                bool firing;
+            } slis[] = {
+                {"latency", &ev.latencyFast, &ev.latencySlow,
+                 ev.latencyFiring},
+                {"availability", &ev.availFast, &ev.availSlow,
+                 ev.availabilityFiring},
             };
-            for (const auto &g : gauges) {
+            for (const auto &sli : slis) {
+                for (const auto &[window, w] :
+                     {std::pair{"fast", sli.fast},
+                      std::pair{"slow", sli.slow}}) {
+                    registry_
+                        ->gauge("bw_slo_burn_rate",
+                                "SLO burn rate over the trailing window "
+                                "(1.0 = budget consumed exactly at the "
+                                "sustainable rate)",
+                                {{"class", ev.name},
+                                 {"slo", sli.slo},
+                                 {"window", window}})
+                        .set(w->burnRate);
+                }
                 registry_
-                    ->gauge("bw_slo_burn_rate",
-                            "SLO burn rate over the trailing window "
-                            "(1.0 = budget consumed exactly at the "
-                            "sustainable rate)",
-                            {{"class", ev.name},
-                             {"slo", g.slo},
-                             {"window", g.window}})
-                    .set(g.w->burnRate);
+                    ->gauge("bw_slo_firing",
+                            "1 when both window burn rates exceed the "
+                            "page threshold",
+                            {{"class", ev.name}, {"slo", sli.slo}})
+                    .set(sli.firing ? 1.0 : 0.0);
             }
-            registry_
-                ->gauge("bw_slo_firing",
-                        "1 when both window burn rates exceed the page "
-                        "threshold",
-                        {{"class", ev.name}, {"slo", "latency"}})
-                .set(ev.latencyFiring ? 1.0 : 0.0);
-            registry_
-                ->gauge("bw_slo_firing",
-                        "1 when both window burn rates exceed the page "
-                        "threshold",
-                        {{"class", ev.name}, {"slo", "availability"}})
-                .set(ev.availabilityFiring ? 1.0 : 0.0);
         }
     }
-
-    Json doc = Json::object();
-    doc.set("schema", kSchema);
-    Json obj = Json::object();
-    obj.set("latency", opts_.latencyObjective);
-    obj.set("availability", opts_.availabilityObjective);
-    doc.set("objectives", std::move(obj));
-    Json win = Json::object();
-    win.set("fast_us", opts_.fastWindowUs);
-    win.set("slow_us", opts_.slowWindowUs);
-    win.set("bucket_us", opts_.bucketUs);
-    doc.set("windows", std::move(win));
-    doc.set("page_burn_rate", opts_.pageBurnRate);
-    doc.set("evaluated_at_us", saw ? high_us : 0);
-
-    Json classes = Json::array();
-    for (size_t c = 0; c < evals.size(); ++c) {
-        const SloClassEval &ev = evals[c];
-        Json j = Json::object();
-        j.set("name", ev.name);
-        if (opts_.classes[c].maxDeadlineMs > 0)
-            j.set("max_deadline_ms", opts_.classes[c].maxDeadlineMs);
-        j.set("latency_target_ms", opts_.classes[c].latencyTargetMs);
-        j.set("requests", ev.requests);
-        j.set("latency_breaches", ev.latencyBreaches);
-        j.set("availability_breaches", ev.availabilityBreaches);
-        Json lat = Json::object();
-        lat.set("fast", windowJson(ev.latencyFast));
-        lat.set("slow", windowJson(ev.latencySlow));
-        lat.set("firing", ev.latencyFiring);
-        j.set("latency", std::move(lat));
-        Json avail = Json::object();
-        avail.set("fast", windowJson(ev.availFast));
-        avail.set("slow", windowJson(ev.availSlow));
-        avail.set("firing", ev.availabilityFiring);
-        j.set("availability", std::move(avail));
-        classes.push(std::move(j));
-    }
-    doc.set("classes", std::move(classes));
-    return doc;
+    return sloDocument(opts_, evals, high_us);
 }
 
 // --- Validation ---

@@ -121,6 +121,19 @@ struct SloClassEval
     bool availabilityFiring = false;
 };
 
+/** Derive each window's bad fraction and burn rate from its good/bad
+ *  counts, then the firing flags: the one finisher of a monitor's
+ *  evaluation and of a fleet rollup's summed counts. */
+void finishSloClassEval(SloClassEval &ev, const SloOptions &opts);
+
+/** The bw.slo/1 document, the schema's one writer: @p opts' objectives
+ *  and windows, evaluated_at_us, and one entry per class of @p evals
+ *  (in @p opts' class order). @p shards > 0 adds the fleet rollup's
+ *  "shards" member after evaluated_at_us; 0 omits it. */
+Json sloDocument(const SloOptions &opts,
+                 const std::vector<SloClassEval> &evals,
+                 uint64_t evaluated_at_us, uint64_t shards = 0);
+
 /**
  * Multi-window SLO burn-rate monitor. record() is mutex-guarded (one
  * tiny critical section per completed request — the flight recorder and
@@ -201,8 +214,9 @@ class SloMonitor
         metrics::Counter *availBreachC = nullptr;
     };
 
-    SloWindowEval evalWindow(const ClassState &cs, uint64_t window_us,
-                             bool latency, double objective) const;
+    /** Add both SLIs' good/bad counts over one trailing window. */
+    void countWindow(const ClassState &cs, uint64_t window_us,
+                     SloWindowEval &lat, SloWindowEval &avail) const;
     std::vector<SloClassEval> snapshotLocked() const;
 
     SloOptions opts_;
