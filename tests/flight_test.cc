@@ -502,6 +502,79 @@ TEST(EngineFlight, ModelBackedPromotionsCarryChainLeaves)
     }
 }
 
+TEST(EngineFlight, PromotedTreesMatchLiveTrees)
+{
+    // The flight export rebuilds each promoted record's span tree after
+    // the fact; the live tracer wrote it at the time. Both must be the
+    // same tree: with every record promoted and every request sampled,
+    // the flight root under trace == seq equals the live root under
+    // trace == id for every non-rejected record, chain leaves included.
+    Rng rng(23);
+    Session session =
+        Session::compile(makeGru(randomGruWeights(32, 32, rng)),
+                         testConfig());
+    obs::SpanTracerOptions topts;
+    topts.sampleEvery = 1;
+    obs::SpanTracer tracer(topts);
+    obs::FlightRecorderOptions fopts;
+    fopts.windowUs = uint64_t(1) << 40;
+    fopts.slowestK = 1u << 20;
+    obs::FlightRecorder flight(fopts);
+
+    // 5x overload on a depth-4 queue with a three-service deadline, as
+    // in ReplayExportsByteIdenticalUnderRejectsAndExpiries.
+    const double service_ms = session.serve({})->serviceMsFor(1);
+    ASSERT_GT(service_ms, 0.0);
+    serve::EngineOptions opts;
+    opts.queueDepth = 4;
+    opts.defaultDeadlineMs = 3 * service_ms;
+    opts.spanTracer = &tracer;
+    opts.flightRecorder = &flight;
+    auto engine = session.serve(opts);
+    std::vector<double> arrivals;
+    for (int i = 0; i < 120; ++i)
+        arrivals.push_back(i * service_ms / 5e3);
+    engine->replay(arrivals);
+    ASSERT_GT(engine->collector().rejected(), 0u);
+    ASSERT_GT(engine->collector().expired(), 0u);
+
+    Json live = obs::spanTreeJson(tracer);
+    Json doc = engine->flightJson().value();
+    Status st = obs::validateFlightJson(doc);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    auto rootOf = [](const Json &spans, int64_t trace) -> const Json * {
+        const Json *traces = spans.find("traces");
+        for (size_t t = 0; t < traces->size(); ++t) {
+            if (traces->at(t).find("trace")->asInt() == trace)
+                return traces->at(t).find("root");
+        }
+        return nullptr;
+    };
+
+    const Json *promoted = doc.find("promoted");
+    ASSERT_EQ(promoted->size(), arrivals.size());
+    size_t compared = 0, with_chains = 0;
+    for (size_t i = 0; i < promoted->size(); ++i) {
+        const Json &p = promoted->at(i);
+        if (p.find("class")->asString() == "rejected")
+            continue;
+        ASSERT_TRUE(p.find("sampled")->asBool());
+        const Json *flight_root =
+            rootOf(*doc.find("spans"), p.find("seq")->asInt());
+        const Json *live_root = rootOf(live, p.find("id")->asInt());
+        ASSERT_NE(flight_root, nullptr);
+        ASSERT_NE(live_root, nullptr);
+        EXPECT_TRUE(*flight_root == *live_root)
+            << "seq " << p.find("seq")->asInt() << "\nflight "
+            << flight_root->dump() << "\nlive " << live_root->dump();
+        ++compared;
+        with_chains += flight_root->dump().find("chain[0]") !=
+                       std::string::npos;
+    }
+    EXPECT_EQ(compared, live.find("traces")->size());
+    EXPECT_GT(with_chains, 0u);
+}
+
 TEST(EngineFlight, ThreadedEngineRecordsEveryCompletion)
 {
     obs::FlightRecorder flight;
