@@ -17,17 +17,6 @@ namespace cluster {
 
 namespace {
 
-/// Same seconds->microseconds rounding as the serving engine, so the
-/// cluster's virtual-time flight/SLO records mirror Engine::replay
-/// byte-for-byte.
-uint64_t
-toUs(double seconds)
-{
-    return seconds > 0
-               ? static_cast<uint64_t>(std::llround(seconds * 1e6))
-               : 0;
-}
-
 /// serviceCache_ key: model and group are small, steps dominates.
 uint64_t
 svcKey(uint32_t model, size_t group, unsigned steps)
@@ -756,7 +745,7 @@ Cluster::applyTransition(const ChaosTransition &tr)
     const FaultEvent &f = chaos_.faults()[tr.fault];
     Shard &s = *shards_[tr.shard];
     ShardChaos &cc = shardChaos_[tr.shard];
-    uint64_t t_us = toUs(tr.tS);
+    uint64_t t_us = obs::toUs(tr.tS);
     switch (tr.phase) {
     case ChaosTransition::Fire: {
         cc = ShardChaos{};
@@ -821,7 +810,7 @@ Cluster::applyTransition(const ChaosTransition &tr)
         double ms = rewarmMs_[tr.shard];
         s.reloadedTiles += tiles;
         s.reloadMsTotal += ms;
-        uint64_t us = static_cast<uint64_t>(std::llround(ms * 1e3));
+        uint64_t us = obs::msToUs(ms);
         if (ShardMetrics *sm = shardMetrics(tr.shard))
             sm->reloadUs->add(us);
         incidents_.setReload(cc.incident, tiles, us);
@@ -886,7 +875,7 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
     if (target == -2) {
         // Eviction took every shard: unavailable, not load-shed.
         ++cs.unavailable;
-        clsMonitor_.record(toUs(a), req.deadlineMs, 0.0, false);
+        clsMonitor_.record(obs::toUs(a), req.deadlineMs, 0.0, false);
         return;
     }
     if (target < 0) {
@@ -894,7 +883,7 @@ Cluster::replayOne(const ClusterRequest &req, ReplayPass &rp)
         ++cs.shedByClass[cls];
         if (metrics::Counter *c = shedCounter(cls))
             c->inc();
-        clsMonitor_.record(toUs(a), req.deadlineMs, 0.0, false);
+        clsMonitor_.record(obs::toUs(a), req.deadlineMs, 0.0, false);
         return;
     }
     dispatch(req, rp, static_cast<unsigned>(target));
@@ -922,8 +911,7 @@ Cluster::chargeWeights(unsigned shard, uint32_t model)
         sm->cacheMisses->inc();
         if (wt.evictions)
             sm->cacheEvictions->add(wt.evictions);
-        sm->reloadUs->add(
-            static_cast<uint64_t>(std::llround(reload_ms * 1e3)));
+        sm->reloadUs->add(obs::msToUs(reload_ms));
     }
     return reload_ms;
 }
@@ -1039,52 +1027,19 @@ Cluster::runAttempt(unsigned shard, double t, const ClusterRequest &req,
     return at;
 }
 
-void
-Cluster::recordAttemptFlight(const Attempt &at, uint64_t id,
-                             bool sampled, unsigned steps)
+obs::FlightRecord
+Cluster::attemptFlight(const Attempt &at, uint64_t id, bool sampled,
+                       unsigned steps)
 {
-    Shard &s = *shards_[at.shard];
-    uint64_t admit_us = toUs(at.dispatchS);
-    uint64_t start_us = std::max(toUs(at.startS), admit_us);
-    uint64_t done_us = std::max(toUs(at.doneS), start_us);
-    obs::FlightRecord fr;
-    fr.seq = at.seq;
-    fr.id = id;
-    fr.cls = at.fcls;
-    fr.sampled = sampled;
-    fr.replica = static_cast<uint32_t>(at.slot.replica);
-    fr.steps = steps;
-    fr.admitUs = admit_us;
-    fr.dequeueUs = fr.serviceUs = start_us;
-    fr.doneUs = done_us;
-    fr.latencyUs =
-        at.latencyMs > 0
-            ? static_cast<uint64_t>(std::llround(at.latencyMs * 1e3))
-            : 0;
-    s.flight->record(fr);
+    obs::FlightRecord fr{.seq = at.seq, .id = id, .cls = at.fcls,
+                         .sampled = sampled,
+                         .replica = static_cast<uint32_t>(at.slot.replica),
+                         .steps = steps,
+                         .latencyUs = obs::msToUs(at.latencyMs)};
+    // Virtual time dequeues straight into service.
+    fr.stamp(at.dispatchS, at.startS, at.startS, at.doneS);
+    return fr;
 }
-
-namespace {
-
-obs::SpanOutcome
-attemptOutcome(const obs::FlightClass cls)
-{
-    switch (cls) {
-    case obs::FlightClass::Ok:
-        return obs::SpanOutcome::Ok;
-    case obs::FlightClass::DeadlineExpired:
-        return obs::SpanOutcome::DeadlineExpired;
-    case obs::FlightClass::Rejected:
-        return obs::SpanOutcome::Rejected;
-    case obs::FlightClass::Cancelled:
-        return obs::SpanOutcome::Cancelled;
-    case obs::FlightClass::Error:
-    default:
-        return obs::SpanOutcome::Error;
-    }
-}
-
-} // namespace
 
 void
 Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
@@ -1184,96 +1139,77 @@ Cluster::dispatch(const ClusterRequest &req, ReplayPass &rp,
         auditCheck(rp.seq, req.model, ws.group, req.steps,
                    modelServiceMs(req.model, ws.group, req.steps));
 
+    // Flight records in dispatch order: primary, then hedge. The
+    // winner's SLO sample and each attempt's span subtree below are
+    // derived from the same records.
+    const Attempt *attempts[2] = {&p, &h};
+    obs::FlightRecord frec[2];
+    for (unsigned i = 0; i < (hedged ? 2u : 1u); ++i) {
+        frec[i] = attemptFlight(*attempts[i], id, ctx.sampled(), req.steps);
+        shards_[attempts[i]->shard]->flight->record(frec[i]);
+    }
+
     // Cluster-level accounting from the winner only — the caller saw
     // exactly one outcome. (Per-shard reports count every attempt.)
+    // Only a completion can be the hedge's, so every other winner's
+    // latency already runs from the arrival.
     ShardMetrics *wsm = shardMetrics(w.shard);
-    uint64_t admit_us = toUs(a);
+    double slo_ms = w.latencyMs;
     switch (w.kind) {
-    case Attempt::Kind::Completed: {
-        double full_ms = (w.clientDoneS - a) * 1e3;
+    case Attempt::Kind::Completed:
+        slo_ms = (w.clientDoneS - a) * 1e3;
         ++ws.completed;
         ++cs.completed;
         if (wsm)
             wsm->completed->inc();
         if (rp.streaming)
-            ws.sketch.record(full_ms);
+            ws.sketch.record(slo_ms);
         else
-            ws.latencies.push_back(full_ms);
-        if (w.deadlineMs <= 0 || full_ms <= w.deadlineMs)
+            ws.latencies.push_back(slo_ms);
+        if (w.deadlineMs <= 0 || slo_ms <= w.deadlineMs)
             ++ws.good;
         ws.lastDone = std::max(ws.lastDone, w.doneS);
-        uint64_t done_us = std::max(toUs(w.doneS), admit_us);
-        ws.slo->record(done_us, w.deadlineMs, full_ms, true);
-        clsMonitor_.record(done_us, w.deadlineMs, full_ms, true);
         break;
-    }
-    case Attempt::Kind::Rejected: {
+    case Attempt::Kind::Rejected:
         ++cs.rejected;
-        ws.slo->record(admit_us, w.deadlineMs, 0.0, false);
-        clsMonitor_.record(admit_us, w.deadlineMs, 0.0, false);
         break;
-    }
-    case Attempt::Kind::Expired: {
+    case Attempt::Kind::Expired:
         ++cs.expired;
-        uint64_t t_us = std::max(toUs(w.startS), admit_us);
-        ws.slo->record(t_us, w.deadlineMs, w.latencyMs, false);
-        clsMonitor_.record(t_us, w.deadlineMs, w.latencyMs, false);
         break;
-    }
     case Attempt::Kind::Faulted:
-    default: {
+    default:
         if (w.fcls == obs::FlightClass::DeadlineExpired)
             ++cs.expired;
         else
             ++cs.failed;
-        uint64_t t_us = std::max(toUs(w.clientDoneS), admit_us);
-        ws.slo->record(t_us, w.deadlineMs, w.latencyMs, false);
-        clsMonitor_.record(t_us, w.deadlineMs, w.latencyMs, false);
         break;
     }
-    }
-
-    // Flight records in dispatch order: primary, then hedge.
-    recordAttemptFlight(p, id, ctx.sampled(), req.steps);
-    if (hedged)
-        recordAttemptFlight(h, id, ctx.sampled(), req.steps);
+    uint64_t done_us = frec[pWins ? 0 : 1].doneUs;
+    bool ok = w.kind == Attempt::Kind::Completed;
+    ws.slo->record(done_us, w.deadlineMs, slo_ms, ok);
+    clsMonitor_.record(done_us, w.deadlineMs, slo_ms, ok);
 
     // Span tree: route root -> request tree per attempt, one ring
     // claim. Hedging puts a hedge[i] span between the two (the winner
     // stamps the root's outcome/engine; the loser's hedge span shows
     // the cancellation); an unhedged request hangs its tree off the
-    // root directly.
+    // root directly. The root ends with the later attempt (a hedge
+    // dispatches no earlier than the arrival).
     if (ctx.sampled() && tracer) {
-        auto endOf = [&](const Attempt &at) {
-            uint64_t d = toUs(at.dispatchS);
-            return std::max(std::max(toUs(at.doneS), toUs(at.startS)),
-                            d);
-        };
-        uint64_t root_end = std::max(endOf(p), admit_us);
-        if (hedged)
-            root_end = std::max(root_end, endOf(h));
-
         obs::SpanTree tree;
         tree.trace = ctx.trace;
         tree.routed = true;
-        tree.route.admitUs = admit_us;
-        tree.route.doneUs = root_end;
+        tree.route.admitUs = frec[0].admitUs;
+        tree.route.doneUs = std::max(frec[0].doneUs, frec[1].doneUs);
         tree.route.engine = w.shard;
         tree.route.model = req.model;
-        tree.route.outcome = attemptOutcome(w.fcls);
+        tree.route.outcome = obs::flightClassOutcome(w.fcls);
         tree.hedged = hedging;
         tree.attempts = hedged ? 2 : 1;
-        const Attempt *attempts[2] = {&p, &h};
         for (uint32_t i = 0; i < tree.attempts; ++i) {
             const Attempt &at = *attempts[i];
             obs::SpanAttempt &sa = tree.attempt[i];
-            obs::RequestSpans &qs = sa.request;
-            qs.admitUs = std::max(toUs(at.dispatchS), admit_us);
-            qs.dequeueUs = qs.serviceUs =
-                std::max(toUs(at.startS), qs.admitUs);
-            qs.doneUs = std::max(endOf(at), qs.admitUs);
-            qs.replica = static_cast<uint32_t>(at.slot.replica);
-            qs.outcome = attemptOutcome(at.fcls);
+            sa.request = obs::requestSpans(frec[i]);
             sa.engine = at.shard;
             if (at.fcls == obs::FlightClass::Ok)
                 sa.chains = chainSpans(req.model,

@@ -638,8 +638,11 @@ class Cluster
      *  cancellation, then the cluster-level records of the outcome. */
     void dispatch(const ClusterRequest &req, ReplayPass &rp,
                   unsigned primary);
-    void recordAttemptFlight(const Attempt &at, uint64_t id,
-                             bool sampled, unsigned steps);
+    /** @p at's flight record: the one account of the attempt, written
+     *  to its shard's flight recorder and rendered as its span
+     *  subtree. */
+    static obs::FlightRecord attemptFlight(const Attempt &at, uint64_t id,
+                                           bool sampled, unsigned steps);
 
     /** Cycle-accurate service time for the audit (cached per
      *  (model, group, steps), like serviceCache_). */

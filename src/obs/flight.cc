@@ -42,6 +42,34 @@ flightClassOutcome(FlightClass c)
     }
 }
 
+RequestSpans
+requestSpans(const FlightRecord &r)
+{
+    RequestSpans rs;
+    rs.admitUs = r.admitUs;
+    rs.dequeueUs = r.dequeueUs;
+    rs.serviceUs = r.serviceUs;
+    rs.doneUs = r.doneUs;
+    rs.replica = r.replica;
+    rs.outcome = flightClassOutcome(r.cls);
+    return rs;
+}
+
+SpanTree
+requestTree(TraceId trace, const FlightRecord &r, const ChainSpans *chains)
+{
+    SpanTree tree;
+    tree.trace = trace;
+    SpanAttempt &at = tree.attempt[0];
+    at.request = requestSpans(r);
+    if (chains) {
+        at.request.chainCount =
+            static_cast<uint32_t>(chains->templates.size());
+        at.chains = chains;
+    }
+    return tree;
+}
+
 FlightRecorderOptions
 FlightRecorderOptions::fromEnv(FlightRecorderOptions base)
 {
@@ -191,23 +219,11 @@ flightRecordRow(const FlightRecord &r, const ChainSpansFn &chains_for,
 
     // The span evidence head sampling would have dropped, rebuilt by the
     // live span writer (trace id = submission seq).
-    SpanTree tree;
-    tree.trace = r.seq;
-    RequestSpans &rs = tree.attempt[0].request;
-    rs.admitUs = r.admitUs;
-    rs.dequeueUs = r.dequeueUs;
-    rs.serviceUs = r.serviceUs;
-    rs.doneUs = r.doneUs;
-    rs.replica = r.replica;
-    rs.outcome = flightClassOutcome(r.cls);
     bool served = r.cls == FlightClass::Ok || r.cls == FlightClass::Error;
-    if (served && chains_for) {
-        if (const ChainSpans *cs = chains_for(r.steps)) {
-            rs.chainCount = static_cast<uint32_t>(cs->templates.size());
-            tree.attempt[0].chains = cs;
-        }
-    }
-    appendSpanTree(spans, tree, SpanTracerOptions{}.maxChainSpans);
+    const ChainSpans *chains =
+        served && chains_for ? chains_for(r.steps) : nullptr;
+    appendSpanTree(spans, requestTree(r.seq, r, chains),
+                   SpanTracerOptions{}.maxChainSpans);
     return e;
 }
 

@@ -32,6 +32,8 @@
 #ifndef BW_OBS_FLIGHT_H
 #define BW_OBS_FLIGHT_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -62,11 +64,30 @@ const char *flightClassName(FlightClass c);
 /** SpanOutcome rendered on the record's reconstructed span tree. */
 SpanOutcome flightClassOutcome(FlightClass c);
 
+/** @p seconds on an engine's clock in whole microseconds, rounded (0
+ *  when not positive): the one conversion serve::Engine and
+ *  cluster::Cluster share, so their records agree byte for byte. */
+inline uint64_t
+toUs(double seconds)
+{
+    return seconds > 0 ? static_cast<uint64_t>(std::llround(seconds * 1e6))
+                       : 0;
+}
+
+/** A latency of @p ms in whole microseconds, rounded like toUs(). */
+inline uint64_t
+msToUs(double ms)
+{
+    return ms > 0 ? static_cast<uint64_t>(std::llround(ms * 1e3)) : 0;
+}
+
 /**
  * One request's flight record: POD-sized so the hot path copies it into
  * a ring slot without allocating. Timestamps are microseconds on the
  * owning engine's clock (virtual time under replay(), wall time under
- * the threaded engine).
+ * the threaded engine). The record is the one account of an attempt's
+ * outcome: its span subtree (requestTree), its flight row and its SLO
+ * sample are all derived from it.
  */
 struct FlightRecord
 {
@@ -90,7 +111,34 @@ struct FlightRecord
     /** End-to-end latency in microseconds as the engine reported it
      *  (includes configured network time); the slowest-K ranking key. */
     uint64_t latencyUs = 0;
+
+    /** Stamp the four boundaries from seconds on the engine's clock:
+     *  each converted with toUs() once (a boundary equal to the one
+     *  before it reuses its stamp) and clamped so that admit <= dequeue
+     *  <= service <= done. */
+    void
+    stamp(double admit_s, double dequeue_s, double service_s,
+          double done_s)
+    {
+        auto next = [](double s, double prev_s, uint64_t prev_us) {
+            return s == prev_s ? prev_us : std::max(toUs(s), prev_us);
+        };
+        admitUs = toUs(admit_s);
+        dequeueUs = next(dequeue_s, admit_s, admitUs);
+        serviceUs = next(service_s, dequeue_s, dequeueUs);
+        doneUs = next(done_s, service_s, serviceUs);
+    }
 };
+
+/** @p r's request span boundaries, replica and outcome: the one
+ *  stamps-to-span mapping of live, flight and routed trees. */
+RequestSpans requestSpans(const FlightRecord &r);
+
+/** The unrouted one-attempt tree of @p r under @p trace, with @p chains
+ *  (when non-null; which outcomes get them is the caller's rule) as
+ *  the execute span's leaves and its chainCount. */
+SpanTree requestTree(TraceId trace, const FlightRecord &r,
+                     const ChainSpans *chains);
 
 /** FlightRecorder configuration. */
 struct FlightRecorderOptions
@@ -177,9 +225,9 @@ using ChainSpansFn = std::function<const ChainSpans *(uint32_t steps)>;
 /**
  * The bw.flight/1 row builder: @p r's row {seq, id, class, sampled,
  * replica, steps, admit_us, dequeue_us, service_us, done_us,
- * latency_us}. Appends the record's span tree (trace id = seq) to
- * @p spans: request / queue_wait, plus dispatch / execute / chain[i]
- * leaves (via @p chains_for) when served.
+ * latency_us}. Appends the record's requestTree (trace id = seq) to
+ * @p spans, with chain[i] leaves (via @p chains_for) when served, OK
+ * or error.
  */
 Json flightRecordRow(const FlightRecord &r, const ChainSpansFn &chains_for,
                      std::vector<SpanRecord> &spans);

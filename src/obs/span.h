@@ -212,7 +212,8 @@ class SpanTracer
  * engine's clock. Each boundary is converted from seconds exactly once
  * and shared between adjacent spans, so the direct children of the
  * request span partition it exactly: queue_wait + dispatch + execute
- * == request, to the microsecond, by construction.
+ * == request, to the microsecond, by construction. The serving paths
+ * take them from the attempt's flight record (obs::requestSpans).
  */
 struct RequestSpans
 {

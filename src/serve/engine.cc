@@ -1,7 +1,6 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/env_doc.h"
@@ -15,15 +14,6 @@ namespace bw {
 namespace serve {
 
 namespace {
-
-/** Engine trace timestamps are microseconds since construction. */
-uint64_t
-toUs(double seconds)
-{
-    return seconds > 0
-               ? static_cast<uint64_t>(std::llround(seconds * 1e6))
-               : 0;
-}
 
 double
 envDouble(const char *name, double fallback)
@@ -209,33 +199,96 @@ Engine::Engine(std::shared_ptr<const CompiledModel> model,
 }
 
 void
-Engine::recordFlightSlo(uint64_t seq, RequestId id, obs::FlightClass cls,
-                        bool sampled, unsigned replica, unsigned steps,
-                        uint64_t admit_us, uint64_t dequeue_us,
-                        uint64_t service_us, uint64_t done_us,
-                        double deadline_ms, double latency_ms)
+Engine::record(obs::FlightRecord rec, obs::TraceId trace,
+               double deadline_ms, double latency_ms)
 {
+    rec.sampled = trace != 0;
+    if (opts_.spanTracer && rec.sampled) {
+        // Live trees hang chain leaves under served-OK requests only.
+        const obs::ChainSpans *chains =
+            rec.cls == obs::FlightClass::Ok ? chainSpans(rec.steps)
+                                            : nullptr;
+        obs::recordSpanTree(*opts_.spanTracer,
+                            obs::requestTree(trace, rec, chains));
+    }
     if (opts_.flightRecorder) {
-        obs::FlightRecord fr;
-        fr.seq = seq;
-        fr.id = id;
-        fr.cls = cls;
-        fr.sampled = sampled;
-        fr.replica = replica;
-        fr.steps = steps;
-        fr.admitUs = admit_us;
-        fr.dequeueUs = dequeue_us;
-        fr.serviceUs = service_us;
-        fr.doneUs = done_us;
-        fr.latencyUs = latency_ms > 0 ? static_cast<uint64_t>(
-                                            std::llround(latency_ms * 1e3))
-                                      : 0;
-        opts_.flightRecorder->record(fr);
+        rec.latencyUs = obs::msToUs(latency_ms);
+        opts_.flightRecorder->record(rec);
     }
     if (opts_.sloMonitor) {
-        opts_.sloMonitor->record(done_us, deadline_ms, latency_ms,
-                                 cls == obs::FlightClass::Ok);
+        opts_.sloMonitor->record(rec.doneUs, deadline_ms, latency_ms,
+                                 rec.cls == obs::FlightClass::Ok);
     }
+    if (rec.cls == obs::FlightClass::Rejected)
+        collector_.recordRejected();
+    else if (rec.cls == obs::FlightClass::DeadlineExpired)
+        collector_.recordExpired();
+    else if (rec.cls == obs::FlightClass::Cancelled)
+        collector_.recordCancelled();
+}
+
+void
+Engine::settle(Pending &p, Response r, const obs::FlightRecord &rec)
+{
+    record(rec, p.ctx.trace, p.deadlineMs, r.latencyMs);
+    bool served = rec.cls == obs::FlightClass::Ok ||
+                  rec.cls == obs::FlightClass::Error;
+    bool dequeued = rec.cls != obs::FlightClass::Cancelled;
+    if (served)
+        collector_.recordCompleted(r, rec.admitUs / 1e6, rec.doneUs / 1e6);
+    if (live_) {
+        if (served) {
+            live_->completed->inc();
+            // Sampled requests attach their trace id as a bucket
+            // exemplar: /metrics.json then names a slowest trace per
+            // latency bucket for tail forensics.
+            if (p.ctx.sampled())
+                live_->latencyMs->recordExemplar(r.latencyMs,
+                                                 p.ctx.trace);
+            else
+                live_->latencyMs->record(r.latencyMs);
+            live_->queueWaitMs->record(r.queueMs);
+        } else {
+            (dequeued ? live_->expired : live_->cancelled)->inc();
+        }
+    }
+    if (!r.status.ok()) {
+        noteError(p.seq, p.id, rec.doneUs, r.status.code(),
+                  r.status.message());
+    }
+    if (dequeued) {
+        {
+            std::lock_guard<std::mutex> lk(debugMu_);
+            ReplicaDebug &rd = replicaDebug_[rec.replica];
+            if (!served) {
+                ++rd.expired;
+            } else {
+                rd.lastId = p.id;
+                ++(r.status.ok() ? rd.served : rd.errors);
+            }
+        }
+        emitTrace(obs::EventKind::QueueWait, obs::ResClass::ServeQueue, 0,
+                  p.id, rec.admitUs, rec.dequeueUs);
+        if (served) {
+            emitTrace(obs::EventKind::Service, obs::ResClass::ServeWorker,
+                      static_cast<uint16_t>(rec.replica), p.id,
+                      rec.dequeueUs, rec.doneUs);
+        }
+        if (live_)
+            live_->inflight->add(-1);
+    }
+    p.promise.set_value(std::move(r));
+}
+
+obs::FlightRecord
+Engine::flightRecordOf(const Pending &p, obs::FlightClass cls,
+                       unsigned replica, double dequeue_s,
+                       double service_s, double done_s)
+{
+    obs::FlightRecord rec{.seq = p.seq, .id = p.id, .cls = cls,
+                          .replica = replica, .steps = p.steps};
+    rec.stamp(p.admitS, dequeue_s, service_s, done_s);
+    return rec;
 }
 
 void
@@ -323,12 +376,12 @@ Engine::nowS() const
 
 void
 Engine::emitTrace(obs::EventKind kind, obs::ResClass res,
-                  uint16_t res_index, RequestId id, double start_s,
-                  double end_s)
+                  uint16_t res_index, RequestId id, uint64_t start_us,
+                  uint64_t end_us)
 {
     obs::TraceEvent e;
-    e.start = toUs(start_s);
-    e.end = std::max(toUs(end_s), e.start);
+    e.start = start_us;
+    e.end = end_us;
     e.kind = kind;
     e.res = res;
     e.resIndex = res_index;
@@ -406,18 +459,18 @@ Engine::enqueue(Pending p)
             // The reject consumes a submission-attempt seq (the flight
             // promotion key) but never a request id — span trace ids
             // stay dense over admitted requests only.
-            uint64_t seq = nextSeq_++;
-            collector_.recordRejected();
+            p.seq = nextSeq_++;
+            p.admitS = nowS();
+            obs::FlightRecord rec = flightRecordOf(
+                p, obs::FlightClass::Rejected, 0, p.admitS, p.admitS,
+                p.admitS);
+            record(rec, 0, p.deadlineMs, 0.0);
             if (live_)
                 live_->rejected->inc();
             Status st = Status::queueFull(detail::format(
                 "queue at depth %zu; request rejected (admission "
                 "control)", opts_.queueDepth));
-            uint64_t t_us = toUs(nowS());
-            recordFlightSlo(seq, 0, obs::FlightClass::Rejected, false, 0,
-                            p.steps, t_us, t_us, t_us, t_us, p.deadlineMs,
-                            0.0);
-            noteError(seq, 0, t_us, st.code(), st.message());
+            noteError(p.seq, 0, rec.doneUs, st.code(), st.message());
             return st;
         }
         startLocked();
@@ -489,16 +542,30 @@ Engine::workerLoop(unsigned index)
         inFlight_ += static_cast<unsigned>(take);
         if (live_) {
             live_->queueDepth->set(static_cast<double>(queue_.size()));
-            live_->inflight->set(static_cast<double>(inFlight_));
+            // settle() takes each request back out of the gauge before
+            // its promise is set; inFlight_ (drain's idle test) drops
+            // only once every promise of the batch is set.
+            live_->inflight->add(static_cast<double>(take));
         }
         lk.unlock();
 
+        {
+            std::lock_guard<std::mutex> dlk(debugMu_);
+            ReplicaDebug &rd = replicaDebug_[index];
+            rd.busy = true;
+            rd.inflight.clear();
+            for (const Pending &p : batch)
+                rd.inflight.push_back(p.id);
+        }
         serveBatch(index, machine.get(), std::move(batch), dequeue_s);
+        {
+            std::lock_guard<std::mutex> dlk(debugMu_);
+            replicaDebug_[index].busy = false;
+            replicaDebug_[index].inflight.clear();
+        }
 
         lk.lock();
         inFlight_ -= static_cast<unsigned>(take);
-        if (live_)
-            live_->inflight->set(static_cast<double>(inFlight_));
         if (queue_.empty() && inFlight_ == 0)
             idleCv_.notify_all();
     }
@@ -508,20 +575,10 @@ void
 Engine::serveBatch(unsigned index, FuncMachine *machine,
                    std::vector<Pending> batch, double dequeue_s)
 {
-    {
-        std::lock_guard<std::mutex> lk(debugMu_);
-        ReplicaDebug &rd = replicaDebug_[index];
-        rd.busy = true;
-        rd.inflight.clear();
-        for (const Pending &p : batch)
-            rd.inflight.push_back(p.id);
-    }
-
     // On-dequeue deadline expiry: requests that waited out their
     // deadline complete immediately, consuming no service.
     std::vector<Pending> live;
     live.reserve(batch.size());
-    uint64_t expired_here = 0;
     for (Pending &p : batch) {
         double queue_ms = (dequeue_s - p.admitS) * 1e3;
         if (p.deadlineMs > 0 && queue_ms > p.deadlineMs) {
@@ -533,39 +590,15 @@ Engine::serveBatch(unsigned index, FuncMachine *machine,
             r.queueMs = queue_ms;
             r.latencyMs = queue_ms + opts_.networkMs;
             r.worker = index;
-            collector_.recordExpired();
-            ++expired_here;
-            if (live_)
-                live_->expired->inc();
-            emitTrace(obs::EventKind::QueueWait,
-                      obs::ResClass::ServeQueue, 0, p.id, p.admitS,
-                      dequeue_s);
-            uint64_t admit_us = toUs(p.admitS);
-            uint64_t dq_us = std::max(toUs(dequeue_s), admit_us);
-            if (p.ctx.sampled()) {
-                recordSpans(p.ctx, p.steps, admit_us, dq_us, dq_us,
-                            dq_us, index,
-                            obs::SpanOutcome::DeadlineExpired);
-            }
-            recordFlightSlo(p.seq, p.id, obs::FlightClass::DeadlineExpired,
-                            p.ctx.sampled(), index, p.steps, admit_us,
-                            dq_us, dq_us, dq_us, p.deadlineMs,
-                            r.latencyMs);
-            noteError(p.seq, p.id, dq_us, r.status.code(),
-                      r.status.message());
-            p.promise.set_value(std::move(r));
+            settle(p, std::move(r),
+                   flightRecordOf(p, obs::FlightClass::DeadlineExpired,
+                                  index, dequeue_s, dequeue_s, dequeue_s));
         } else {
             live.push_back(std::move(p));
         }
     }
-    if (live.empty()) {
-        std::lock_guard<std::mutex> lk(debugMu_);
-        ReplicaDebug &rd = replicaDebug_[index];
-        rd.busy = false;
-        rd.inflight.clear();
-        rd.expired += expired_here;
+    if (live.empty())
         return;
-    }
 
     if (opts_.serviceHook) {
         for (const Pending &p : live)
@@ -611,10 +644,8 @@ Engine::serveBatch(unsigned index, FuncMachine *machine,
 
     double done_s = nowS();
     double wall_ms = (done_s - dequeue_s) * 1e3;
-    if (live_) {
-        live_->replicaBusyUs[index]->add(static_cast<uint64_t>(
-            std::llround((done_s - dequeue_s) * 1e6)));
-    }
+    if (live_)
+        live_->replicaBusyUs[index]->add(obs::toUs(done_s - dequeue_s));
     for (size_t i = 0; i < live.size(); ++i) {
         Pending &p = live[i];
         Response r;
@@ -626,60 +657,12 @@ Engine::serveBatch(unsigned index, FuncMachine *machine,
         r.latencyMs = r.queueMs + r.serviceMs + opts_.networkMs;
         r.worker = index;
         r.batch = static_cast<unsigned>(live.size());
-        bool served_ok = r.status.ok();
-        emitTrace(obs::EventKind::QueueWait, obs::ResClass::ServeQueue,
-                  0, p.id, p.admitS, dequeue_s);
-        emitTrace(obs::EventKind::Service, obs::ResClass::ServeWorker,
-                  static_cast<uint16_t>(index), p.id, dequeue_s, done_s);
-        uint64_t admit_us = toUs(p.admitS);
-        uint64_t dq_us = std::max(toUs(dequeue_s), admit_us);
-        uint64_t svc_us = std::max(toUs(service_start_s), dq_us);
-        uint64_t dn_us = std::max(toUs(done_s), svc_us);
-        if (p.ctx.sampled()) {
-            recordSpans(p.ctx, p.steps, admit_us, dq_us, svc_us, dn_us,
-                        index,
-                        served_ok ? obs::SpanOutcome::Ok
-                                  : obs::SpanOutcome::Error);
-        }
-        recordFlightSlo(p.seq, p.id,
-                        served_ok ? obs::FlightClass::Ok
-                                  : obs::FlightClass::Error,
-                        p.ctx.sampled(), index, p.steps, admit_us, dq_us,
-                        svc_us, dn_us, p.deadlineMs, r.latencyMs);
-        if (!served_ok) {
-            noteError(p.seq, p.id, dn_us, r.status.code(),
-                      r.status.message());
-        }
-        {
-            std::lock_guard<std::mutex> lk(debugMu_);
-            ReplicaDebug &rd = replicaDebug_[index];
-            rd.lastId = p.id;
-            if (served_ok)
-                ++rd.served;
-            else
-                ++rd.errors;
-        }
-        collector_.recordCompleted(r, p.admitS, done_s);
-        if (live_) {
-            live_->completed->inc();
-            // Sampled requests attach their trace id as a bucket
-            // exemplar: /metrics.json then names a slowest trace per
-            // latency bucket for tail forensics.
-            if (p.ctx.sampled())
-                live_->latencyMs->recordExemplar(r.latencyMs,
-                                                 p.ctx.trace);
-            else
-                live_->latencyMs->record(r.latencyMs);
-            live_->queueWaitMs->record(r.queueMs);
-        }
-        p.promise.set_value(std::move(r));
+        obs::FlightClass cls = r.status.ok() ? obs::FlightClass::Ok
+                                             : obs::FlightClass::Error;
+        settle(p, std::move(r),
+               flightRecordOf(p, cls, index, dequeue_s, service_start_s,
+                              done_s));
     }
-
-    std::lock_guard<std::mutex> dlk(debugMu_);
-    ReplicaDebug &rd = replicaDebug_[index];
-    rd.busy = false;
-    rd.inflight.clear();
-    rd.expired += expired_here;
 }
 
 void
@@ -714,16 +697,9 @@ Engine::shutdown()
         r.status = Status::cancelled("engine shut down before service");
         r.queueMs = (now_s - p.admitS) * 1e3;
         r.latencyMs = r.queueMs + opts_.networkMs;
-        collector_.recordCancelled();
-        if (live_)
-            live_->cancelled->inc();
-        uint64_t admit_us = toUs(p.admitS);
-        uint64_t t_us = std::max(toUs(now_s), admit_us);
-        recordFlightSlo(p.seq, p.id, obs::FlightClass::Cancelled,
-                        p.ctx.sampled(), 0, p.steps, admit_us, t_us,
-                        t_us, t_us, p.deadlineMs, r.latencyMs);
-        noteError(p.seq, p.id, t_us, r.status.code(), r.status.message());
-        p.promise.set_value(std::move(r));
+        settle(p, std::move(r),
+               flightRecordOf(p, obs::FlightClass::Cancelled, 0, now_s,
+                              now_s, now_s));
     }
     if (live_)
         live_->queueDepth->set(0);
@@ -929,17 +905,13 @@ Engine::debugFlightJson() const
     return j;
 }
 
-obs::ChainSpansFn
-Engine::chainSpansFn()
+const obs::ChainSpans *
+Engine::chainSpans(unsigned steps)
 {
-    if (!model_ || opts_.serviceMsOverride > 0)
-        return {};
-    return [this](uint32_t steps) -> const obs::ChainSpans * {
-        if (steps == 0)
-            return nullptr;
-        const ServiceProfile &prof = serviceProfileFor(steps);
-        return prof.chains.templates.empty() ? nullptr : &prof.chains;
-    };
+    if (!model_ || opts_.serviceMsOverride > 0 || steps == 0)
+        return nullptr;
+    const obs::ChainSpans &cs = serviceProfileFor(steps).chains;
+    return cs.templates.empty() ? nullptr : &cs;
 }
 
 Expected<Json>
@@ -950,7 +922,9 @@ Engine::flightJson()
             "no flight recorder attached "
             "(EngineOptions::flightRecorder)");
     }
-    return obs::flightJson(*opts_.flightRecorder, chainSpansFn());
+    return obs::flightJson(*opts_.flightRecorder, [this](uint32_t steps) {
+        return chainSpans(steps);
+    });
 }
 
 void
@@ -1028,34 +1002,6 @@ Engine::serviceProfileFor(unsigned steps)
     return serviceCache_.emplace(steps, std::move(prof)).first->second;
 }
 
-void
-Engine::recordSpans(const obs::TraceContext &ctx, unsigned steps,
-                    uint64_t admit_us, uint64_t dequeue_us,
-                    uint64_t service_us, uint64_t done_us,
-                    unsigned replica, obs::SpanOutcome outcome)
-{
-    obs::SpanTracer *tracer = opts_.spanTracer;
-    if (!tracer || !ctx.sampled())
-        return;
-    obs::SpanTree tree;
-    tree.trace = ctx.trace;
-    obs::RequestSpans &rs = tree.attempt[0].request;
-    rs.admitUs = admit_us;
-    rs.dequeueUs = dequeue_us;
-    rs.serviceUs = service_us;
-    rs.doneUs = done_us;
-    rs.replica = replica;
-    rs.outcome = outcome;
-    if (outcome == obs::SpanOutcome::Ok && model_ &&
-        opts_.serviceMsOverride <= 0) {
-        const ServiceProfile &prof = serviceProfileFor(steps);
-        rs.chainCount =
-            static_cast<uint32_t>(prof.chains.templates.size());
-        tree.attempt[0].chains = &prof.chains;
-    }
-    obs::recordSpanTree(*tracer, tree);
-}
-
 // --- Deterministic virtual-time replay ---
 
 ServeStats
@@ -1100,51 +1046,37 @@ Engine::replayUnbatched(const std::vector<double> &arrivals_s,
     double last_done = arrivals_s.front();
 
     for (double a : arrivals_s) {
-        ++attempt; // flight key: rejected arrivals consume one too
+        // Flight key: rejected arrivals consume one too.
+        obs::FlightRecord rec{.seq = ++attempt, .steps = steps};
         queue.prune(a);
         if (queue.full(a, opts_.queueDepth)) {
-            collector_.recordRejected();
-            uint64_t t_us = toUs(a);
-            recordFlightSlo(attempt, 0, obs::FlightClass::Rejected,
-                            false, 0, steps, t_us, t_us, t_us, t_us,
-                            deadline_ms, 0.0);
+            rec.cls = obs::FlightClass::Rejected;
+            rec.stamp(a, a, a, a);
+            record(rec, 0, deadline_ms, 0.0);
             continue;
         }
         ReplicaQueue::Reservation rv = queue.reserve(a, net_s);
-        size_t r = rv.replica;
         double start = rv.startS;
-        ++seq; // rejected arrivals never consumed a sequence number
-        obs::TraceContext ctx =
-            tracer ? tracer->admit(seq) : obs::TraceContext{};
-        uint64_t admit_us = toUs(a);
-        uint64_t start_us = std::max(toUs(start), admit_us);
+        rec.id = ++seq; // rejected arrivals never consumed a seq
+        rec.replica = static_cast<uint32_t>(rv.replica);
+        obs::TraceId trace = tracer ? tracer->admit(seq).trace : 0;
         if (deadline_ms > 0 && (start - a) * 1e3 > deadline_ms) {
-            collector_.recordExpired(); // expires at dequeue; no service
-            recordSpans(ctx, steps, admit_us, start_us, start_us,
-                        start_us, static_cast<unsigned>(r),
-                        obs::SpanOutcome::DeadlineExpired);
-            recordFlightSlo(attempt, seq,
-                            obs::FlightClass::DeadlineExpired,
-                            ctx.sampled(), static_cast<unsigned>(r),
-                            steps, admit_us, start_us, start_us,
-                            start_us, deadline_ms,
-                            (start - a) * 1e3 + opts_.networkMs);
+            // Expires at dequeue; no service.
+            rec.cls = obs::FlightClass::DeadlineExpired;
+            rec.stamp(a, start, start, start);
+            record(rec, trace, deadline_ms,
+                   (start - a) * 1e3 + opts_.networkMs);
             continue;
         }
         double done = start + service_s;
-        queue.release(r, done);
+        queue.release(rv.replica, done);
         last_done = std::max(last_done, done);
         double latency_ms = (done + net_s / 2 - a) * 1e3;
         latencies.push_back(latency_ms);
         // Virtual time dequeues straight into service: the dispatch
         // span is zero-width at the service start.
-        uint64_t done_us = std::max(toUs(done), start_us);
-        recordSpans(ctx, steps, admit_us, start_us, start_us, done_us,
-                    static_cast<unsigned>(r), obs::SpanOutcome::Ok);
-        recordFlightSlo(attempt, seq, obs::FlightClass::Ok,
-                        ctx.sampled(), static_cast<unsigned>(r), steps,
-                        admit_us, start_us, start_us, done_us,
-                        deadline_ms, latency_ms);
+        rec.stamp(a, start, start, done);
+        record(rec, trace, deadline_ms, latency_ms);
     }
 
     std::sort(latencies.begin(), latencies.end());
@@ -1187,11 +1119,25 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
     };
 
     auto reject = [&](double at) {
-        ++attempt;
-        collector_.recordRejected();
-        uint64_t t_us = toUs(at);
-        recordFlightSlo(attempt, 0, obs::FlightClass::Rejected, false, 0,
-                        steps, t_us, t_us, t_us, t_us, deadline_ms, 0.0);
+        obs::FlightRecord rec{.seq = ++attempt,
+                              .cls = obs::FlightClass::Rejected,
+                              .steps = steps};
+        rec.stamp(at, at, at, at);
+        record(rec, 0, deadline_ms, 0.0);
+    };
+
+    /** One admitted batch member: its arrival, its flight record so
+     *  far and its head-sampling trace id. */
+    struct Member
+    {
+        double a;
+        obs::FlightRecord rec;
+        obs::TraceId trace;
+    };
+    auto admit = [&](double at) {
+        ++seq; // rejected arrivals never consumed a sequence number
+        return Member{at, {.seq = ++attempt, .id = seq, .steps = steps},
+                      tracer ? tracer->admit(seq).trace : 0};
     };
 
     size_t i = 0;
@@ -1204,39 +1150,22 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
         }
         if (i >= n)
             break;
-        double oldest = arrivals_s[i];
-        double trigger = oldest + opts_.batchTimeoutMs / 1e3;
-        std::vector<double> members{oldest};
-        std::vector<obs::TraceContext> mctx;
-        std::vector<uint64_t> mid;  //!< admitted id (span trace seq)
-        std::vector<uint64_t> mseq; //!< submission-attempt seq
-        ++seq; // rejected arrivals never consumed a sequence number
-        ++attempt;
-        mctx.push_back(tracer ? tracer->admit(seq)
-                              : obs::TraceContext{});
-        mid.push_back(seq);
-        mseq.push_back(attempt);
+        double trigger = arrivals_s[i] + opts_.batchTimeoutMs / 1e3;
+        std::vector<Member> members{admit(arrivals_s[i])};
         ++i;
         // Accumulate: requests arriving before the trigger, up to the
         // batch cap, each admission-checked against queue occupancy.
         while (i < n && members.size() < opts_.maxBatch &&
                arrivals_s[i] <= trigger) {
             if (waiting(arrivals_s[i]) + members.size() >=
-                opts_.queueDepth) {
+                opts_.queueDepth)
                 reject(arrivals_s[i]);
-            } else {
-                members.push_back(arrivals_s[i]);
-                ++seq;
-                ++attempt;
-                mctx.push_back(tracer ? tracer->admit(seq)
-                                      : obs::TraceContext{});
-                mid.push_back(seq);
-                mseq.push_back(attempt);
-            }
+            else
+                members.push_back(admit(arrivals_s[i]));
             ++i;
         }
         bool full = members.size() == opts_.maxBatch;
-        double form = full ? members.back() : trigger;
+        double form = full ? members.back().a : trigger;
         size_t r = static_cast<size_t>(
             std::min_element(free_s.begin(), free_s.end()) -
             free_s.begin());
@@ -1245,32 +1174,17 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
             dequeues.push_back(launch);
 
         // On-dequeue deadline expiry.
-        std::vector<double> served;
-        std::vector<obs::TraceContext> sctx;
-        std::vector<uint64_t> sid, sseq;
+        std::vector<Member> served;
         served.reserve(members.size());
-        for (size_t k = 0; k < members.size(); ++k) {
-            double a = members[k];
-            uint64_t admit_us = toUs(a);
-            uint64_t launch_us = std::max(toUs(launch), admit_us);
-            if (deadline_ms > 0 && (launch - a) * 1e3 > deadline_ms) {
-                collector_.recordExpired();
-                recordSpans(mctx[k], steps, admit_us, launch_us,
-                            launch_us, launch_us,
-                            static_cast<unsigned>(r),
-                            obs::SpanOutcome::DeadlineExpired);
-                recordFlightSlo(mseq[k], mid[k],
-                                obs::FlightClass::DeadlineExpired,
-                                mctx[k].sampled(),
-                                static_cast<unsigned>(r), steps,
-                                admit_us, launch_us, launch_us,
-                                launch_us, deadline_ms,
-                                (launch - a) * 1e3 + net_ms);
+        for (Member &m : members) {
+            m.rec.replica = static_cast<uint32_t>(r);
+            if (deadline_ms > 0 && (launch - m.a) * 1e3 > deadline_ms) {
+                m.rec.cls = obs::FlightClass::DeadlineExpired;
+                m.rec.stamp(m.a, launch, launch, launch);
+                record(m.rec, m.trace, deadline_ms,
+                       (launch - m.a) * 1e3 + net_ms);
             } else {
-                served.push_back(a);
-                sctx.push_back(mctx[k]);
-                sid.push_back(mid[k]);
-                sseq.push_back(mseq[k]);
+                served.push_back(m);
             }
         }
         if (served.empty())
@@ -1282,20 +1196,11 @@ Engine::replayBatched(const std::vector<double> &arrivals_s,
         double done = launch + batch_ms / 1e3;
         free_s[r] = done;
         last_done = std::max(last_done, done);
-        for (size_t k = 0; k < served.size(); ++k) {
-            double a = served[k];
-            double latency_ms = (done - a) * 1e3 + net_ms;
+        for (Member &m : served) {
+            double latency_ms = (done - m.a) * 1e3 + net_ms;
             latencies.push_back(latency_ms);
-            uint64_t admit_us = toUs(a);
-            uint64_t launch_us = std::max(toUs(launch), admit_us);
-            uint64_t done_us = std::max(toUs(done), launch_us);
-            recordSpans(sctx[k], steps, admit_us, launch_us, launch_us,
-                        done_us, static_cast<unsigned>(r),
-                        obs::SpanOutcome::Ok);
-            recordFlightSlo(sseq[k], sid[k], obs::FlightClass::Ok,
-                            sctx[k].sampled(), static_cast<unsigned>(r),
-                            steps, admit_us, launch_us, launch_us,
-                            done_us, deadline_ms, latency_ms);
+            m.rec.stamp(m.a, launch, launch, done);
+            record(m.rec, m.trace, deadline_ms, latency_ms);
         }
         batch_sum += b;
         ++batches;

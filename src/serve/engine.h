@@ -528,9 +528,10 @@ class Engine
     /** Seconds since engine construction (steady clock). */
     double nowS() const;
 
+    /** One trace event over [start_us, end_us] on the engine clock. */
     void emitTrace(obs::EventKind kind, obs::ResClass res,
-                   uint16_t res_index, RequestId id, double start_s,
-                   double end_s);
+                   uint16_t res_index, RequestId id, uint64_t start_us,
+                   uint64_t end_us);
 
     std::shared_ptr<const CompiledModel> model_;
     EngineOptions opts_;
@@ -561,31 +562,36 @@ class Engine
     /** serviceMsFor() plus the chain spans (cached per step count). */
     const ServiceProfile &serviceProfileFor(unsigned steps);
 
-    /** Record the span tree of one sampled request (threaded and
-     *  replay paths share it); boundaries are microseconds on the
-     *  engine's clock, each converted exactly once so the children
-     *  partition the request span to the microsecond. */
-    void recordSpans(const obs::TraceContext &ctx, unsigned steps,
-                     uint64_t admit_us, uint64_t dequeue_us,
-                     uint64_t service_us, uint64_t done_us,
-                     unsigned replica, obs::SpanOutcome outcome);
+    /** The one outcome step of every submission attempt, live and
+     *  replay: the span tree when @p trace is sampled, the flight
+     *  record, the SLO sample (unrounded @p latency_ms) and the stats
+     *  collector's reject/expiry/cancel count. Fills rec.sampled and
+     *  rec.latencyUs. */
+    void record(obs::FlightRecord rec, obs::TraceId trace,
+                double deadline_ms, double latency_ms);
 
-    /** Feed the flight recorder and the SLO monitor (either may be
-     *  absent) with one finished submission attempt; timestamps are
-     *  microseconds on the engine's clock (virtual under replay). */
-    void recordFlightSlo(uint64_t seq, RequestId id, obs::FlightClass cls,
-                         bool sampled, unsigned replica, unsigned steps,
-                         uint64_t admit_us, uint64_t dequeue_us,
-                         uint64_t service_us, uint64_t done_us,
-                         double deadline_ms, double latency_ms);
+    /** Settle an admitted request live (expired, served or cancelled):
+     *  record(), live counters, /debug state and trace events, then a
+     *  dequeued request leaves bw_serve_inflight, and the promise is
+     *  set last. */
+    void settle(Pending &p, Response r, const obs::FlightRecord &rec);
+
+    /** @p p's flight record as @p cls on @p replica, stamped from
+     *  engine-clock seconds. */
+    static obs::FlightRecord flightRecordOf(const Pending &p,
+                                            obs::FlightClass cls,
+                                            unsigned replica,
+                                            double dequeue_s,
+                                            double service_s,
+                                            double done_s);
 
     /** Append to the /debug/errors ring (bounded; oldest evicted). */
     void noteError(uint64_t seq, RequestId id, uint64_t time_us,
                    StatusCode code, std::string message);
 
-    /** Binds the flight export's chain-leaf reconstruction to the
-     *  engine's per-step-count timing-profile cache. */
-    obs::ChainSpansFn chainSpansFn();
+    /** Chain-span templates at @p steps (nullptr when none): the
+     *  leaves of live and flight trees alike. */
+    const obs::ChainSpans *chainSpans(unsigned steps);
 
     std::mutex serviceMsMu_;
     /** Thin per-step-count front over the timing model: keeps the

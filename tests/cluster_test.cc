@@ -774,6 +774,34 @@ TEST(Cluster, LiveHedgeCountsAtDispatchWhenItsEngineRefuses)
     c.drain();
 }
 
+TEST(Cluster, LiveLeastLoadedSeesAnAnsweredShardIdle)
+{
+    // An engine takes an answered request out of bw_serve_inflight
+    // before it sets the response, so the next least-loaded pick reads
+    // the shard idle and keeps it (ties go to the lowest index). Shard
+    // 1 is shut down but still marked healthy: any pick of it is
+    // refused.
+    metrics::Registry reg;
+    ClusterOptions co = liveHedgeOptions(reg);
+    co.hedgeMs = -1.0;
+    Cluster c(co);
+    c.addTimedModel("m", 0.5, 8);
+    c.start();
+    c.engine(1).shutdown();
+    const unsigned n = 2000;
+    unsigned ok = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        Expected<std::future<serve::Response>> f =
+            c.submit(0, serve::Request::timed(1));
+        if (f.ok())
+            ok += f.value().get().status.ok();
+    }
+    EXPECT_EQ(ok, n);
+    metrics::Labels shard1{{"engine", c.engineLabel(1)}};
+    EXPECT_EQ(counterValue(reg, "bw_cluster_routed_total", shard1), 0u);
+    c.drain();
+}
+
 TEST(Cluster, ExposeDebugServesClusterAndPerEngineDocs)
 {
     metrics::Registry reg;

@@ -681,6 +681,48 @@ TEST(EngineSpans, ModelLessTimedRequestsHaveNoChainChildren)
     }
 }
 
+TEST(EngineSpans, ShutdownCancelledRequestsRecordTheirTrees)
+{
+    // A sampled request that shutdown() abandons is settled like any
+    // other: the flight recorder marks it sampled, so the live span
+    // export holds its tree as well — request + queue_wait, cancelled.
+    obs::SpanTracer tracer;
+    obs::FlightRecorder flight;
+    serve::EngineOptions opts;
+    opts.replicas = 1;
+    opts.serviceMsOverride = 50.0;
+    opts.spanTracer = &tracer;
+    opts.flightRecorder = &flight;
+    serve::Engine engine(opts);
+
+    auto a = engine.submit(serve::Request::timed(1));
+    auto b = engine.submit(serve::Request::timed(1));
+    auto c = engine.submit(serve::Request::timed(1));
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    while (engine.queueSize() > 2)
+        std::this_thread::yield();
+    engine.shutdown();
+    EXPECT_TRUE(a.take().get().status.ok());
+    EXPECT_EQ(b.take().get().status.code(), StatusCode::Cancelled);
+    EXPECT_EQ(c.take().get().status.code(), StatusCode::Cancelled);
+
+    Json doc = obs::spanTreeJson(tracer);
+    Status st = obs::validateSpanTreeJson(doc);
+    EXPECT_TRUE(st.ok()) << st.toString();
+    const Json *traces = doc.find("traces");
+    ASSERT_EQ(traces->size(), 3u);
+    for (size_t i = 1; i < 3; ++i) { // request ids 2 and 3
+        EXPECT_EQ(traces->at(i).find("trace")->asInt(),
+                  static_cast<int64_t>(i + 1));
+        const Json *root = traces->at(i).find("root");
+        EXPECT_EQ(root->find("outcome")->asString(), "cancelled");
+        const Json *children = root->find("children");
+        ASSERT_NE(children, nullptr);
+        ASSERT_EQ(children->size(), 1u);
+        EXPECT_EQ(children->at(0).find("name")->asString(), "queue_wait");
+    }
+}
+
 TEST(EngineSpans, LatencyExemplarsCarrySampledTraceIds)
 {
     metrics::Registry registry;
