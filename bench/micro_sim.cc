@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the reproduction's own machinery:
- * BFP quantization, functional mv_mul, compilation, the timing
- * simulator's throughput in simulated timesteps per host second, and
- * span-tree recording.
+ * BFP quantization, uniform weight draws, functional mv_mul,
+ * compilation, the timing simulator's throughput in simulated timesteps
+ * per host second, and span-tree recording.
  */
 
 #include <benchmark/benchmark.h>
@@ -43,6 +43,39 @@ BM_Float16RoundTrip(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_Float16RoundTrip);
+
+/// Weight generation: 1M uniform floats one state block at a time, and
+/// the same draws one scalar call each.
+constexpr size_t kUniformDraws = 1 << 20;
+
+void
+BM_FillUniformF(benchmark::State &state)
+{
+    Rng rng(3);
+    FVec v(kUniformDraws);
+    for (auto _ : state) {
+        rng.fillUniformF(v, -0.1f, 0.1f);
+        benchmark::DoNotOptimize(v.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kUniformDraws);
+}
+BENCHMARK(BM_FillUniformF);
+
+void
+BM_UniformF(benchmark::State &state)
+{
+    Rng rng(3);
+    FVec v(kUniformDraws);
+    for (auto _ : state) {
+        for (float &x : v)
+            x = rng.uniformF(-0.1f, 0.1f);
+        benchmark::DoNotOptimize(v.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kUniformDraws);
+}
+BENCHMARK(BM_UniformF);
 
 NpuConfig
 microConfig()

@@ -540,7 +540,7 @@ Cluster::liveLoads() const
         l.inflight = static_cast<uint64_t>(
             std::max(0.0, s->inflight->value()));
         l.queueCapacity = s->engine->options().queueDepth;
-        l.healthy = s->healthy;
+        l.healthy = s->healthy && s->engine->accepting();
         loads.push_back(l);
     }
     return loads;
@@ -1428,7 +1428,8 @@ Cluster::submit(uint32_t model, serve::Request req)
         router_->route(liveSeq_, model, me.name, cls, liveLoads());
     if (target == -2) {
         return Status::unavailable(detail::format(
-            "no healthy shard for model '%s' (every engine evicted)",
+            "no healthy shard for model '%s' (every engine evicted or "
+            "stopped)",
             me.name.c_str()));
     }
     if (target < 0) {

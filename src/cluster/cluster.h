@@ -533,6 +533,9 @@ class Cluster
     /** Every shard's virtual-time load at @p now_s, filled into the
      *  reused loads_ buffer (valid until the next call). */
     const std::vector<EngineLoad> &virtualLoads(double now_s);
+    /** Every shard's live load from its gauges. A shard whose engine no
+     *  longer accepts work (drained or shut down) reads as unhealthy, so
+     *  neither a live primary nor a hedge is routed to it. */
     std::vector<EngineLoad> liveLoads() const;
     /** Append a model: its request counter, the model gauge and, on
      *  warm start, every shard's cache. Returns the model id. */

@@ -18,8 +18,7 @@ FVec
 randomVec(size_t n, Rng &rng)
 {
     FVec v(n);
-    for (auto &x : v)
-        x = rng.uniformF(-0.1f, 0.1f);
+    rng.fillUniformF(v, -0.1f, 0.1f);
     return v;
 }
 

@@ -5,7 +5,10 @@
  * weight cache, and the Cluster replay determinism/degeneracy contracts.
  */
 
+#include <chrono>
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -756,21 +759,50 @@ TEST(Cluster, LiveHedgeCountsAtDispatchWhenItsEngineRefuses)
 {
     // A hedge is an attempt the moment it is dispatched, like the
     // primary and every replay attempt: a shard whose engine refuses
-    // it still counts it as routed.
+    // it still counts it as routed. Shard 1 has one queue slot and one
+    // replica: one held request is in service for a long time and a
+    // second fills the slot, so the engine refuses every hedge with a
+    // full queue.
     metrics::Registry reg;
-    Cluster c(liveHedgeOptions(reg));
+    ClusterOptions co = liveHedgeOptions(reg);
+    co.groups[0].engines = 1;
+    ReplicaGroupSpec full = co.groups[0];
+    full.name = "full";
+    full.engine.queueDepth = 1;
+    full.engine.timeScale = 1.0;
+    co.groups.push_back(full);
+    Cluster c(co);
     c.addTimedModel("m", 0.5, 8);
     c.start();
-    c.engine(1).shutdown();
+    serve::Engine &e1 = c.engine(1);
+    Expected<std::future<serve::Response>> serving =
+        e1.submit(serve::Request::timed(1, 0, 300.0));
+    ASSERT_TRUE(serving.ok()) << serving.status().toString();
+    while (e1.queueSize() != 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    Expected<std::future<serve::Response>> queued =
+        e1.submit(serve::Request::timed(1, 0, 1.0));
+    ASSERT_TRUE(queued.ok()) << queued.status().toString();
     const unsigned n = 10;
-    // Primary on shard 0 (ties go to the lowest index), hedge on 1.
-    EXPECT_EQ(submitSerially(c, n), n);
+    // Primary on the idle shard 0, hedge on 1.
+    unsigned ok = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        Expected<std::future<serve::Response>> f =
+            c.submit(0, serve::Request::timed(1));
+        ASSERT_TRUE(f.ok()) << f.status().toString();
+        ok += f.value().get().status.ok();
+    }
+    EXPECT_EQ(ok, n);
     metrics::Labels shard0{{"engine", c.engineLabel(0)}};
     metrics::Labels shard1{{"engine", c.engineLabel(1)}};
     EXPECT_EQ(counterValue(reg, "bw_cluster_routed_total", shard0), n);
     EXPECT_EQ(counterValue(reg, "bw_cluster_routed_total", shard1), n);
     EXPECT_EQ(counterValue(reg, "bw_hedge_attempts_total"), n);
     EXPECT_EQ(counterValue(reg, "bw_hedge_wins_total"), 0u);
+    EXPECT_EQ(e1.collector().rejected(), n);
+    e1.shutdown();
+    EXPECT_TRUE(serving.value().get().status.ok());
+    EXPECT_EQ(queued.value().get().status.code(), StatusCode::Cancelled);
     c.drain();
 }
 
@@ -779,15 +811,13 @@ TEST(Cluster, LiveLeastLoadedSeesAnAnsweredShardIdle)
     // An engine takes an answered request out of bw_serve_inflight
     // before it sets the response, so the next least-loaded pick reads
     // the shard idle and keeps it (ties go to the lowest index). Shard
-    // 1 is shut down but still marked healthy: any pick of it is
-    // refused.
+    // 1 stays up, so a pick of it means shard 0 still read busy.
     metrics::Registry reg;
     ClusterOptions co = liveHedgeOptions(reg);
     co.hedgeMs = -1.0;
     Cluster c(co);
     c.addTimedModel("m", 0.5, 8);
     c.start();
-    c.engine(1).shutdown();
     const unsigned n = 2000;
     unsigned ok = 0;
     for (unsigned i = 0; i < n; ++i) {
@@ -799,6 +829,40 @@ TEST(Cluster, LiveLeastLoadedSeesAnAnsweredShardIdle)
     EXPECT_EQ(ok, n);
     metrics::Labels shard1{{"engine", c.engineLabel(1)}};
     EXPECT_EQ(counterValue(reg, "bw_cluster_routed_total", shard1), 0u);
+    c.drain();
+}
+
+TEST(Cluster, LiveConcurrentSubmitsSkipAStoppedShard)
+{
+    // Shard 1 is shut down but still marked healthy. Its engine no
+    // longer accepts work, so live loads read it as unhealthy: neither
+    // a primary nor a hedge pick lands on it, however the concurrent
+    // submits interleave, and no caller sees its refusal.
+    metrics::Registry reg;
+    Cluster c(liveHedgeOptions(reg));
+    c.addTimedModel("m", 0.5, 8);
+    c.start();
+    c.engine(1).shutdown();
+    const unsigned threads = 4, perThread = 500;
+    std::vector<unsigned> ok(threads, 0);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&c, &ok, t] {
+            for (unsigned i = 0; i < perThread; ++i) {
+                Expected<std::future<serve::Response>> f =
+                    c.submit(0, serve::Request::timed(1));
+                if (f.ok())
+                    ok[t] += f.value().get().status.ok();
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (unsigned t = 0; t < threads; ++t)
+        EXPECT_EQ(ok[t], perThread) << "thread " << t;
+    metrics::Labels shard1{{"engine", c.engineLabel(1)}};
+    EXPECT_EQ(counterValue(reg, "bw_cluster_routed_total", shard1), 0u);
+    EXPECT_EQ(counterValue(reg, "bw_hedge_attempts_total"), 0u);
     c.drain();
 }
 
